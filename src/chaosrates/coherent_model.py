@@ -8,7 +8,8 @@ from a structure function.  Closed forms implemented here:
       X_t^(m) = sum_{k=0..m//2} (-1)^k R^(m-2k) Q^k / (k! (m-2k)! 2^k)
               = Q^(m/2) He_m(R / sqrt(Q)) / m! ,
 
-  with X^(0) = 1 and X^(m) = 0 for m < 0;
+  with X^(0) = 1 and X^(m) = 0 for m < 0, evaluated by the Hermite
+  recurrence (m + 1) X^(m+1) = R X^(m) - Q X^(m-1);
 
 * the pricing kernel of order n,
 
@@ -61,7 +62,8 @@ class KernelValue:
 
 @lru_cache(maxsize=None)
 def _chaos_terms(m: int) -> tuple:
-    # (coefficient, power of R, power of Q) triples for X^(m)
+    # (coefficient, power of R, power of Q) triples for X^(m); exact
+    # monomial coefficients for chaos_polynomial
     return tuple(
         (
             float(Fraction((-1) ** k, math.factorial(k) * math.factorial(m - 2 * k) * 2**k)),
@@ -72,15 +74,48 @@ def _chaos_terms(m: int) -> tuple:
     )
 
 
+def iter_chaos_values(m: int, r, q):
+    """Yield X^(0), X^(1), ..., X^(m) at driver value r with bracket q.
+
+    Walks the Hermite three-term recurrence
+
+        (k + 1) X^(k+1) = r X^(k) - q X^(k-1),
+
+    holding only the last two orders, so a caller folding the orders into
+    running sums keeps memory independent of m.  Broadcasts over arrays.
+    """
+    if m < 0:
+        return
+    prev = r * 0.0 + q * 0.0 + 1.0
+    yield prev
+    if m == 0:
+        return
+    cur = prev * r
+    yield cur
+    for k in range(1, m):
+        nxt = r * cur  # a fresh array: the yielded orders are never written
+        nxt -= q * prev
+        nxt /= k + 1
+        prev, cur = cur, nxt
+        yield cur
+
+
+def chaos_values(m: int, r, q) -> list:
+    """[X^(0), ..., X^(m)] at driver value r with bracket q (empty for m < 0).
+
+    The chaos evaluator: O(m) multiplies by the Hermite recurrence of
+    iter_chaos_values, broadcasting over arrays of r and q.
+    """
+    return list(iter_chaos_values(m, r, q))
+
+
 def chaos_value(m: int, r, q):
     """Evaluate X^(m) at driver value r with bracket q; broadcasts over arrays."""
-    zero = r * 0.0 + q * 0.0
     if m < 0:
-        return zero
-    acc = zero
-    for coef, i, j in _chaos_terms(m):
-        acc = acc + coef * r**i * q**j
-    return acc
+        return r * 0.0 + q * 0.0
+    for x in iter_chaos_values(m, r, q):
+        pass
+    return x
 
 
 def chaos_polynomial(m: int, q: float) -> RealPolynomial:
@@ -94,7 +129,8 @@ def chaos_polynomial(m: int, q: float) -> RealPolynomial:
 
 
 def chaos_martingale(m: int, state: GaussianState, method: str = "monomial") -> float:
-    """X^(m) at a state, via the monomial sum or the scaled-Hermite form."""
+    """X^(m) at a state, via the chaos recurrence ("monomial", the name kept
+    for compatibility) or the scaled-Hermite form."""
     if method == "monomial":
         return chaos_value(m, state.R, state.Q)
     if method == "hermite":
@@ -142,12 +178,40 @@ def kernel_polynomial(n: int, q_state: float, q_maturity: float) -> RealPolynomi
     return acc
 
 
+@lru_cache(maxsize=None)
+def _kernel_weights(n: int) -> tuple:
+    # float w_1 .. w_n of the order-n kernel
+    return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
+
+
+def kernel_sums(n: int, xs, levels) -> list:
+    """sum_{k=1..n} w_k (1 - q^k) X^(2n-2k) at each bracket level q.
+
+    xs yields X^(0), X^(1), ... (a chaos_values list or iter_chaos_values)
+    and is read once, each even order folded into one running sum per level,
+    so a generator keeps memory independent of n.  Levels may be arrays that
+    broadcast against the chaos values.
+    """
+    w = _kernel_weights(n)
+    accs = [0.0] * len(levels)
+    for j, x in enumerate(xs):
+        if j % 2 == 0 and j <= 2 * n - 2:
+            k = n - j // 2
+            accs = [acc + w[k - 1] * (1.0 - q**k) * x for acc, q in zip(accs, levels)]
+    return accs
+
+
+def _positive_kernel(n: int, xs, q: float, what: str) -> float:
+    (pi,) = kernel_sums(n, xs, (q,))
+    if pi <= 0:
+        raise ValueError(f"pricing kernel is not positive at this state; {what} undefined")
+    return pi
+
+
 def pricing_kernel(model: CoherentModel, state: GaussianState) -> KernelValue:
     """Kernel level pi_t at the state, plus its polynomial in R_t."""
     n = model.n
-    pi = 0.0
-    for k in range(1, n + 1):
-        pi += float(kernel_coefficient(n, k)) * (1.0 - state.Q**k) * chaos_value(2 * n - 2 * k, state.R, state.Q)
+    (pi,) = kernel_sums(n, chaos_values(2 * n - 2, state.R, state.Q), (state.Q,))
     return KernelValue(pi=pi, as_polynomial=kernel_polynomial(n, state.Q, state.Q))
 
 
@@ -155,18 +219,10 @@ def bond_price(model: CoherentModel, state: GaussianState, maturity: float) -> f
     """Discount bond P(t, T) seen from the state; requires T >= t."""
     if maturity < state.t:
         raise ValueError(f"maturity {maturity} precedes state time {state.t}")
-    q_T = model.sf.q_at(maturity)
-    numer = 0.0
-    for k in range(1, model.n + 1):
-        numer += (
-            float(kernel_coefficient(model.n, k))
-            * (1.0 - q_T**k)
-            * chaos_value(2 * model.n - 2 * k, state.R, state.Q)
-        )
-    pi = pricing_kernel(model, state).pi
-    if pi <= 0:
-        raise ValueError("pricing kernel is not positive at this state; bond price undefined")
-    return numer / pi
+    n = model.n
+    xs = chaos_values(2 * n - 2, state.R, state.Q)
+    (numer,) = kernel_sums(n, xs, (model.sf.q_at(maturity),))
+    return numer / _positive_kernel(n, xs, state.Q, "bond price")
 
 
 def initial_bond_price(model: CoherentModel, maturity: float) -> float:
@@ -181,17 +237,13 @@ def short_rate(model: CoherentModel, state: GaussianState) -> float:
     dens = model.sf.squared_density(state.t)
     if dens == 0.0:
         return 0.0
-    pi = pricing_kernel(model, state).pi
-    if pi <= 0:
-        raise ValueError("pricing kernel is not positive at this state; short rate undefined")
+    n = model.n
+    xs = chaos_values(2 * n - 2, state.R, state.Q)
+    pi = _positive_kernel(n, xs, state.Q, "short rate")
     q = float(state.Q)
     acc = 0.0
-    for k in range(1, model.n + 1):
-        acc += (
-            float(rate_coefficient(model.n, k))
-            * q ** (k - 1)
-            * chaos_value(2 * model.n - 2 * k, state.R, state.Q)
-        )
+    for k in range(1, n + 1):
+        acc += float(rate_coefficient(n, k)) * q ** (k - 1) * xs[2 * n - 2 * k]
     return dens * acc / pi
 
 
@@ -202,16 +254,12 @@ def risk_premium(model: CoherentModel, state: GaussianState) -> float:
     dens = model.sf.squared_density(state.t)
     if dens == 0.0:
         return 0.0
-    pi = pricing_kernel(model, state).pi
-    if pi <= 0:
-        raise ValueError("pricing kernel is not positive at this state; risk premium undefined")
+    n = model.n
+    xs = chaos_values(2 * n - 2, state.R, state.Q)
+    pi = _positive_kernel(n, xs, state.Q, "risk premium")
     acc = 0.0
-    for k in range(1, model.n + 1):
-        acc += (
-            float(kernel_coefficient(model.n, k))
-            * (1.0 - state.Q**k)
-            * chaos_value(2 * model.n - 2 * k - 1, state.R, state.Q)
-        )
+    for k in range(1, n):  # the k = n term multiplies X^(-1) = 0
+        acc += float(kernel_coefficient(n, k)) * (1.0 - state.Q**k) * xs[2 * n - 2 * k - 1]
     return -math.sqrt(dens) * acc / pi
 
 

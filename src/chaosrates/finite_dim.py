@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, chaos_value, kernel_coefficient
+from .coherent_model import MAX_ORDER, iter_chaos_values, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,7 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     q[-1] = 1.0
     q_T = float(grid.cumulative_weight(bond_maturity))
 
-    pi = np.zeros_like(r)
-    numer = np.zeros_like(r)
-    for k in range(1, n + 1):
-        w = float(kernel_coefficient(n, k))
-        x = chaos_value(2 * n - 2 * k, r, q)
-        pi += w * (1.0 - q**k) * x
-        numer += w * (1.0 - q_T**k) * x
+    pi, numer = kernel_sums(n, iter_chaos_values(2 * n - 2, r, q), (q, q_T))
     starts = np.concatenate([[0.0], np.asarray([float(t) for t in grid.atom_times])])
     alive = starts < bond_maturity
     bond = np.ones_like(r)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, chaos_value
+from .coherent_model import MAX_ORDER, chaos_values
 from .structure_functions import StructureFunction, residual_inner_product
 from . import structure_functions
 
@@ -131,6 +131,24 @@ def multi_state_at(model: IncoherentModel, t: float, values) -> MultiGaussianSta
     return MultiGaussianState(t=t, values=values, brackets=brackets, residual_gram=gram)
 
 
+def _term_chaos(state: MultiGaussianState, top: int) -> list:
+    # one chaos_values pass per term: X^(0..top) at each term's state
+    return [chaos_values(top, r, q) for r, q in zip(state.values, state.brackets)]
+
+
+def _equal_order_kernel(model: IncoherentModel, n: int, gram, xs) -> float:
+    total = 0.0
+    for i, ti in enumerate(model.terms):
+        for j, tj in enumerate(model.terms):
+            g = gram[i][j]
+            inner = sum(
+                g**k / math.factorial(k) * xs[i][n - k] * xs[j][n - k]
+                for k in range(1, n + 1)
+            )
+            total += ti.weight * tj.weight * inner
+    return total
+
+
 def incoherent_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
     """Conditional variance of X when all terms share one chaos order n:
 
@@ -141,21 +159,7 @@ def incoherent_kernel(model: IncoherentModel, state: MultiGaussianState) -> floa
     if len(orders) != 1:
         raise ValueError("terms have mixed chaos orders; use mixed_order_kernel for the 1-plus-n shape")
     n = orders.pop()
-    terms = model.terms
-    xs = [
-        [chaos_value(n - k, state.values[i], state.brackets[i]) for k in range(1, n + 1)]
-        for i in range(len(terms))
-    ]
-    total = 0.0
-    for i, ti in enumerate(terms):
-        for j, tj in enumerate(terms):
-            g = state.residual_gram[i][j]
-            inner = sum(
-                g**k / math.factorial(k) * xs[i][k - 1] * xs[j][k - 1]
-                for k in range(1, n + 1)
-            )
-            total += ti.weight * tj.weight * inner
-    return total
+    return _equal_order_kernel(model, n, state.residual_gram, _term_chaos(state, n - 1))
 
 
 def _split_mixed(model: IncoherentModel):
@@ -168,32 +172,32 @@ def _split_mixed(model: IncoherentModel):
     return model.terms[first], model.terms[1 - first], first
 
 
+def _mixed_kernel(model: IncoherentModel, state: MultiGaussianState, x2) -> float:
+    # x2 = X^(0..n-1) of the order-n term at its state
+    lin, high, i1 = _split_mixed(model)
+    i2 = 1 - i1
+    n = high.order
+    q1, q2 = state.brackets[i1], state.brackets[i2]
+    g12 = state.residual_gram[i1][i2]
+    diag = sum((1.0 - q2) ** k / math.factorial(k) * x2[n - k] ** 2 for k in range(1, n + 1))
+    cross = 2.0 * lin.weight * high.weight * g12 * x2[n - 1]
+    return lin.weight**2 * (1.0 - q1) + high.weight**2 * diag + cross
+
+
 def mixed_order_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
     """Conditional variance for X = c1 X^(1)(phi_1) + c2 X^(n)(phi_2)."""
     lin, high, i1 = _split_mixed(model)
     i2 = 1 - i1
-    n = high.order
-    q1 = state.brackets[i1]
-    r2, q2 = state.values[i2], state.brackets[i2]
-    g12 = state.residual_gram[i1][i2]
-    diag = sum(
-        (1.0 - q2) ** k / math.factorial(k) * chaos_value(n - k, r2, q2) ** 2
-        for k in range(1, n + 1)
-    )
-    cross = 2.0 * lin.weight * high.weight * g12 * chaos_value(n - 1, r2, q2)
-    return lin.weight**2 * (1.0 - q1) + high.weight**2 * diag + cross
+    x2 = chaos_values(high.order - 1, state.values[i2], state.brackets[i2])
+    return _mixed_kernel(model, state, x2)
 
 
-def _banded_projection(h: float, a: int, b: int, ri, qi, rj, qj) -> float:
-    # E_t of the product of window-a and window-b chaos components at T
+def _banded_projection(h: float, a: int, b: int, xi, xj) -> float:
+    # E_t of the product of window-a and window-b chaos components at T,
+    # from the time-t chaos lists xi = X^(0..a)(phi_i), xj = X^(0..b)(phi_j)
     out = 0.0
     for m in range(min(a, b) + 1):
-        out += (
-            h**m
-            / math.factorial(m)
-            * chaos_value(a - m, ri, qi)
-            * chaos_value(b - m, rj, qj)
-        )
+        out += h**m / math.factorial(m) * xi[a - m] * xj[b - m]
     return out
 
 
@@ -205,7 +209,8 @@ def incoherent_bond_price(model: IncoherentModel, state: MultiGaussianState, mat
     terms = model.terms
     if len(orders) == 1:
         n = orders.pop()
-        pi_t = incoherent_kernel(model, state)
+        xs = _term_chaos(state, n - 1)
+        pi_t = _equal_order_kernel(model, n, state.residual_gram, xs)
         numer = 0.0
         for i, ti in enumerate(terms):
             for j, tj in enumerate(terms):
@@ -213,33 +218,23 @@ def incoherent_bond_price(model: IncoherentModel, state: MultiGaussianState, mat
                 h = state.residual_gram[i][j] - g_T
                 inner = 0.0
                 for k in range(1, n + 1):
-                    inner += (
-                        g_T**k
-                        / math.factorial(k)
-                        * _banded_projection(
-                            h, n - k, n - k,
-                            state.values[i], state.brackets[i],
-                            state.values[j], state.brackets[j],
-                        )
-                    )
+                    inner += g_T**k / math.factorial(k) * _banded_projection(h, n - k, n - k, xs[i], xs[j])
                 numer += ti.weight * tj.weight * inner
     else:
         lin, high, i1 = _split_mixed(model)
         i2 = 1 - i1
         n = high.order
-        pi_t = mixed_order_kernel(model, state)
+        x2 = chaos_values(n - 1, state.values[i2], state.brackets[i2])
+        pi_t = _mixed_kernel(model, state, x2)
         q1_T = lin.sf.q_at(maturity)
         q2_T = high.sf.q_at(maturity)
-        r2, q2 = state.values[i2], state.brackets[i2]
         h22 = state.residual_gram[i2][i2] - residual_inner_product(high.sf, high.sf, maturity)
         diag = sum(
-            (1.0 - q2_T) ** k
-            / math.factorial(k)
-            * _banded_projection(h22, n - k, n - k, r2, q2, r2, q2)
+            (1.0 - q2_T) ** k / math.factorial(k) * _banded_projection(h22, n - k, n - k, x2, x2)
             for k in range(1, n + 1)
         )
         g12_T = residual_inner_product(lin.sf, high.sf, maturity)
-        cross = 2.0 * lin.weight * high.weight * g12_T * chaos_value(n - 1, r2, q2)
+        cross = 2.0 * lin.weight * high.weight * g12_T * x2[n - 1]
         numer = lin.weight**2 * (1.0 - q1_T) + high.weight**2 * diag + cross
     if pi_t <= 0:
         raise ValueError("pricing kernel is not positive at this state; bond price undefined")

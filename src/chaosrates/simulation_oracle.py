@@ -13,17 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import CoherentModel, chaos_value, kernel_coefficient
+from .coherent_model import CoherentModel, chaos_value, chaos_values, iter_chaos_values, kernel_coefficient
 from .incoherent_model import (
     IncoherentModel,
     MultiGaussianState,
+    _banded_projection,
     _split_mixed,
     accumulated_gram_matrix,
+    incoherent_kernel,
+    mixed_order_kernel,
     multi_state_at,
+    residual_gram_matrix,
 )
 from .polynomial_pricer import BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial
 from .structure_functions import GaussianState
+
+# samples drawn and evaluated at a time by mc_price; chunked draws from one
+# Generator reproduce a single standard_normal draw of the same total shape
+MC_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -73,13 +81,16 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
 
     Keeps a flat queue of active segments, splitting them in lockstep and
     banking Richardson-corrected values once the local error fits within the
-    segment's width-proportional share of the tolerance.
+    segment's width-proportional share of the tolerance.  The queue starts
+    from segments of at most unit width: one coarse Simpson pair over a wide
+    interval can agree with itself by accident and stop the pass too early.
     """
     span = float(b - a)
     if span == 0.0:
         return 0.0
-    lo = np.array([float(a)])
-    hi = np.array([float(b)])
+    edges = np.linspace(float(a), float(b), max(1, math.ceil(abs(span))) + 1)
+    lo = edges[:-1]
+    hi = edges[1:]
     flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
     s = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
     total = 0.0
@@ -132,34 +143,45 @@ def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
     )
 
 
-def _coherent_sums(n: int, r, q: float, q_targets) -> list:
-    """Bond-numerator sums at each target bracket level, for sampled r."""
-    out = []
-    for q_T in q_targets:
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc = acc + float(kernel_coefficient(n, k)) * (1.0 - q_T**k) * chaos_value(2 * n - 2 * k, r, q)
-        out.append(acc)
-    return out
+def _numerator_coefficients(n: int, targets) -> list:
+    """Per target, the weight of X^(2n-2k) for k = 1..n in its bond numerators.
+
+    A target is a tuple of bracket levels q_T whose numerators
+    sum_k w_k (1 - q_T^k) X^(2n-2k) add up.
+    """
+    return [
+        [float(kernel_coefficient(n, k)) * sum(1.0 - q_T**k for q_T in target) for k in range(1, n + 1)]
+        for target in targets
+    ]
 
 
-def _incoherent_kernel_samples(model: IncoherentModel, t: float, r: np.ndarray) -> np.ndarray:
-    gram = np.asarray(residual_gram(model, t))
-    orders = set(model.orders)
+def _coherent_sums(n: int, r, q: float, coefs) -> list:
+    """Each target's summed bond numerators at sampled r, in one walk of the
+    chaos recurrence that folds every even order into one accumulator per
+    target, so memory depends neither on n nor on the number of levels."""
+    accs = [0.0] * len(coefs)
+    for j, x in enumerate(iter_chaos_values(2 * n - 2, r, q)):
+        if j % 2 == 0:
+            k = n - j // 2
+            accs = [acc + c[k - 1] * x for acc, c in zip(accs, coefs)]
+    return accs
+
+
+def _incoherent_kernel_samples(model: IncoherentModel, gram_t, q_t, xs: list) -> np.ndarray:
+    """pi_t per sampled state row from the per-term chaos arrays xs.
+
+    gram_t is the residual Gram matrix at t, q_t the per-term brackets and
+    xs[i] = X^(0..n_i-1) of term i at the sampled driver values.
+    """
     terms = model.terms
-    if len(orders) == 1:
-        n = orders.pop()
-        qs = [term.sf.q_at(t) for term in terms]
-        xs = [
-            [chaos_value(n - k, r[:, i], qs[i]) for k in range(1, n + 1)]
-            for i in range(len(terms))
-        ]
-        total = np.zeros(r.shape[0])
+    if len(set(model.orders)) == 1:
+        n = terms[0].order
+        total = 0.0
         for i, ti in enumerate(terms):
             for j, tj in enumerate(terms):
-                g = gram[i, j]
+                g = gram_t[i, j]
                 inner = sum(
-                    g**k / math.factorial(k) * xs[i][k - 1] * xs[j][k - 1]
+                    g**k / math.factorial(k) * xs[i][n - k] * xs[j][n - k]
                     for k in range(1, n + 1)
                 )
                 total += ti.weight * tj.weight * inner
@@ -167,137 +189,156 @@ def _incoherent_kernel_samples(model: IncoherentModel, t: float, r: np.ndarray) 
     lin, high, i1 = _split_mixed(model)
     i2 = 1 - i1
     n = high.order
-    q1 = lin.sf.q_at(t)
-    q2 = high.sf.q_at(t)
-    r2 = r[:, i2]
-    diag = sum(
-        (1.0 - q2) ** k / math.factorial(k) * chaos_value(n - k, r2, q2) ** 2
-        for k in range(1, n + 1)
-    )
-    cross = 2.0 * lin.weight * high.weight * gram[i1, i2] * chaos_value(n - 1, r2, q2)
-    return lin.weight**2 * (1.0 - q1) + high.weight**2 * diag + cross
+    x2 = xs[i2]
+    diag = sum((1.0 - q_t[i2]) ** k / math.factorial(k) * x2[n - k] ** 2 for k in range(1, n + 1))
+    cross = 2.0 * lin.weight * high.weight * gram_t[i1, i2] * x2[n - 1]
+    return lin.weight**2 * (1.0 - q_t[i1]) + high.weight**2 * diag + cross
 
 
-def _incoherent_numer_samples(model: IncoherentModel, t: float, T: float, r: np.ndarray) -> np.ndarray:
-    """E_t[pi_T] per sampled state row, via the banded projection identity."""
-    from .incoherent_model import _banded_projection
-    from .structure_functions import residual_inner_product
+def _incoherent_numer_samples(model: IncoherentModel, gram_t, gram_T, q_T, xs: list) -> np.ndarray:
+    """E_t[pi_T] per sampled state row, via the banded projection identity.
 
-    gram_t = np.asarray(residual_gram(model, t))
-    orders = set(model.orders)
+    gram_T and q_T are the residual Gram matrix and the brackets at T; the
+    other arguments are as for _incoherent_kernel_samples.
+    """
     terms = model.terms
-    if len(orders) == 1:
-        n = orders.pop()
-        qs = [term.sf.q_at(t) for term in terms]
-        total = np.zeros(r.shape[0])
+    if len(set(model.orders)) == 1:
+        n = terms[0].order
+        total = 0.0
         for i, ti in enumerate(terms):
             for j, tj in enumerate(terms):
-                g_T = residual_inner_product(ti.sf, tj.sf, T)
+                g_T = gram_T[i, j]
                 h = gram_t[i, j] - g_T
                 inner = 0.0
                 for k in range(1, n + 1):
-                    inner = inner + (
-                        g_T**k
-                        / math.factorial(k)
-                        * _banded_projection(h, n - k, n - k, r[:, i], qs[i], r[:, j], qs[j])
-                    )
+                    inner = inner + g_T**k / math.factorial(k) * _banded_projection(h, n - k, n - k, xs[i], xs[j])
                 total += ti.weight * tj.weight * inner
         return total
     lin, high, i1 = _split_mixed(model)
     i2 = 1 - i1
     n = high.order
-    q1_T = lin.sf.q_at(T)
-    q2_T = high.sf.q_at(T)
-    q2 = high.sf.q_at(t)
-    r2 = r[:, i2]
-    h22 = gram_t[i2, i2] - residual_inner_product(high.sf, high.sf, T)
+    x2 = xs[i2]
+    h22 = gram_t[i2, i2] - gram_T[i2, i2]
     diag = sum(
-        (1.0 - q2_T) ** k
-        / math.factorial(k)
-        * _banded_projection(h22, n - k, n - k, r2, q2, r2, q2)
+        (1.0 - q_T[i2]) ** k / math.factorial(k) * _banded_projection(h22, n - k, n - k, x2, x2)
         for k in range(1, n + 1)
     )
-    g12_T = residual_inner_product(lin.sf, high.sf, T)
-    cross = 2.0 * lin.weight * high.weight * g12_T * chaos_value(n - 1, r2, q2)
-    return lin.weight**2 * (1.0 - q1_T) + high.weight**2 * diag + cross
+    cross = 2.0 * lin.weight * high.weight * gram_T[i1, i2] * x2[n - 1]
+    return lin.weight**2 * (1.0 - q_T[i1]) + high.weight**2 * diag + cross
 
 
-def residual_gram(model: IncoherentModel, t: float) -> np.ndarray:
-    from .incoherent_model import residual_gram_matrix
+def _joint_driver_factor(model: IncoherentModel, t: float) -> np.ndarray:
+    # F with F F^T the joint covariance of the driver values at t
+    vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
-    return residual_gram_matrix(model, t)
 
+def _chunked_mean_and_error(samples: int, chunk_values) -> tuple:
+    """Mean and standard error of `samples` payoff values made MC_CHUNK at a time.
 
-def _joint_driver_samples(model: IncoherentModel, t: float, samples: int, rng) -> np.ndarray:
-    cov = accumulated_gram_matrix(model, t)
-    vals, vecs = np.linalg.eigh(cov)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return rng.standard_normal((samples, cov.shape[0])) @ factor.T
+    chunk_values(size) draws and evaluates one chunk.  Per-chunk
+    (count, mean, M2) triples merge by the pairwise update of Chan, Golub
+    and LeVeque, so memory stays constant whatever the sample count.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, MC_CHUNK):
+        vals = chunk_values(min(MC_CHUNK, samples - start))
+        size = vals.size
+        chunk_mean = float(np.mean(vals))
+        chunk_m2 = float(np.sum((vals - chunk_mean) ** 2))
+        delta = chunk_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += chunk_m2 + delta * delta * count * size / total
+        count = total
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
     n = model.n
     fact = math.factorial(n)
     if isinstance(payoff, BondSpec):
-        q_T = model.sf.q_at(payoff.maturity)
-        r = math.sqrt(q_T) * rng.standard_normal(samples)
-        (pi_T,) = _coherent_sums(n, r, q_T, [q_T])
-        vals = fact * pi_T
+        q = model.sf.q_at(payoff.maturity)
+        targets = [(q,)]
+
+        def value(pi_T):
+            return pi_T
+
     elif isinstance(payoff, OptionSpec):
         t, T, strike = payoff.option_maturity, payoff.bond_maturity, payoff.strike
-        q_t, q_T = model.sf.q_at(t), model.sf.q_at(T)
-        if q_t == 0:
+        q, q_T = model.sf.q_at(t), model.sf.q_at(T)
+        if q == 0:
             return max((1.0 - q_T**n) - strike, 0.0), 0.0
-        r = math.sqrt(q_t) * rng.standard_normal(samples)
-        numer, pi = _coherent_sums(n, r, q_t, [q_T, q_t])
-        vals = fact * np.maximum(numer - strike * pi, 0.0)
+        targets = [(q_T,), (q,)]
+
+        def value(numer, pi):
+            return np.maximum(numer - strike * pi, 0.0)
+
     elif isinstance(payoff, SwaptionSpec):
         t, strike = payoff.option_maturity, payoff.strike
-        q_t = model.sf.q_at(t)
-        q_pay = [model.sf.q_at(T) for T in payoff.payment_dates]
-        if q_t == 0:
-            fixed = strike * sum(1.0 - q**n for q in q_pay)
-            return max((1.0 - q_t**n) - (1.0 - q_pay[-1] ** n) - fixed, 0.0), 0.0
-        r = math.sqrt(q_t) * rng.standard_normal(samples)
-        sums = _coherent_sums(n, r, q_t, q_pay + [q_t])
-        pi = sums[-1]
-        numer_last = sums[len(q_pay) - 1]
-        fixed_leg = strike * sum(sums[i] for i in range(len(q_pay)))
-        vals = fact * np.maximum(pi - numer_last - fixed_leg, 0.0)
+        q = model.sf.q_at(t)
+        q_pay = tuple(model.sf.q_at(T) for T in payoff.payment_dates)
+        if q == 0:
+            fixed = strike * sum(1.0 - q_i**n for q_i in q_pay)
+            return max((1.0 - q**n) - (1.0 - q_pay[-1] ** n) - fixed, 0.0), 0.0
+        targets = [(q,), (q_pay[-1],), q_pay]
+
+        def value(pi, numer_last, fixed_numers):
+            return np.maximum(pi - numer_last - strike * fixed_numers, 0.0)
+
     else:
         raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+    sd = math.sqrt(q)
+    coefs = _numerator_coefficients(n, targets)
+
+    def chunk_values(size):
+        r = sd * rng.standard_normal(size)
+        return fact * value(*_coherent_sums(n, r, q, coefs))
+
+    return _chunked_mean_and_error(samples, chunk_values)
 
 
 def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
     zero_state = multi_state_at(model, 0.0, [0.0] * len(model.terms))
-    from .incoherent_model import incoherent_kernel, mixed_order_kernel
-
     if len(set(model.orders)) == 1:
         pi_0 = incoherent_kernel(model, zero_state)
     else:
         pi_0 = mixed_order_kernel(model, zero_state)
     if isinstance(payoff, BondSpec):
-        r = _joint_driver_samples(model, payoff.maturity, samples, rng)
-        vals = _incoherent_kernel_samples(model, payoff.maturity, r) / pi_0
+        t, dates = payoff.maturity, ()
+
+        def value(pi, numers):
+            return pi
+
     elif isinstance(payoff, OptionSpec):
-        t, T, strike = payoff.option_maturity, payoff.bond_maturity, payoff.strike
-        r = _joint_driver_samples(model, t, samples, rng)
-        numer = _incoherent_numer_samples(model, t, T, r)
-        pi = _incoherent_kernel_samples(model, t, r)
-        vals = np.maximum(numer - strike * pi, 0.0) / pi_0
+        t, dates, strike = payoff.option_maturity, (payoff.bond_maturity,), payoff.strike
+
+        def value(pi, numers):
+            return np.maximum(numers[0] - strike * pi, 0.0)
+
     elif isinstance(payoff, SwaptionSpec):
-        t, strike = payoff.option_maturity, payoff.strike
-        r = _joint_driver_samples(model, t, samples, rng)
-        pi = _incoherent_kernel_samples(model, t, r)
-        numer_last = _incoherent_numer_samples(model, t, payoff.payment_dates[-1], r)
-        fixed_leg = strike * sum(
-            _incoherent_numer_samples(model, t, T, r) for T in payoff.payment_dates
-        )
-        vals = np.maximum(pi - numer_last - fixed_leg, 0.0) / pi_0
+        t, dates, strike = payoff.option_maturity, payoff.payment_dates, payoff.strike
+
+        def value(pi, numers):
+            return np.maximum(pi - numers[-1] - strike * sum(numers), 0.0)
+
     else:
         raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
+    terms = model.terms
+    gram_t = residual_gram_matrix(model, t)
+    q_t = [term.sf.q_at(t) for term in terms]
+    levels = [(residual_gram_matrix(model, T), [term.sf.q_at(T) for term in terms]) for T in dates]
+    factor = _joint_driver_factor(model, t)
+
+    def chunk_values(size):
+        r = rng.standard_normal((size, len(terms))) @ factor.T
+        # each term's chaos arrays, once for the kernel and every numerator
+        xs = [chaos_values(term.order - 1, r[:, i], q_t[i]) for i, term in enumerate(terms)]
+        pi = _incoherent_kernel_samples(model, gram_t, q_t, xs)
+        numers = [_incoherent_numer_samples(model, gram_t, gram_T, q_T, xs) for gram_T, q_T in levels]
+        return value(pi, numers) / pi_0
+
+    return _chunked_mean_and_error(samples, chunk_values)
 
 
 def mc_price(model, payoff, samples: int, seed: int):

@@ -195,11 +195,6 @@ def state_at(sf: StructureFunction, t: float, r: float) -> GaussianState:
     return GaussianState(t=t, R=r, Q=sf.q_at(t))
 
 
-def q_at(sf: StructureFunction, t) -> float:
-    """Cumulative variance Q_t = int_0^t phi**2(s) ds."""
-    return sf.q_at(t)
-
-
 def _residual_exp_exp(a: ExponentialDensity, b: ExponentialDensity, t: float) -> float:
     lam = a.rate + b.rate
     return math.sqrt(a.rate * b.rate) * (2.0 / lam) * math.exp(-0.5 * lam * t)

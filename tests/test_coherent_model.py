@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from chaosrates import (
     chaos_martingale,
     chaos_polynomial,
     chaos_value,
+    chaos_values,
     hermite,
     initial_bond_price,
     kernel_coefficient,
@@ -23,7 +25,7 @@ from chaosrates import (
     short_rate,
     state_at,
 )
-from chaosrates.coherent_model import from_descriptor, rate_coefficient, to_descriptor
+from chaosrates.coherent_model import _chaos_terms, from_descriptor, rate_coefficient, to_descriptor
 
 SF = ExponentialDensity(0.1)
 
@@ -64,6 +66,40 @@ def test_chaos_value_low_orders():
     assert chaos_value(-1, 0.7, 0.2) == 0.0
     assert chaos_value(1, 0.7, 0.2) == 0.7
     assert chaos_value(2, 0.7, 0.2) == pytest.approx((0.7**2 - 0.2) / 2, rel=1e-15)
+
+
+def _term_scale(m, r, q):
+    # sum of |monomial terms| of X^(m): the size a float evaluation rounds at
+    return sum(abs(c) * np.abs(r) ** i * q**j for c, i, j in _chaos_terms(m))
+
+
+def test_chaos_values_agree_with_hermite_and_polynomial_forms():
+    rng = np.random.default_rng(40)
+    rs = np.concatenate([rng.uniform(-6.0, 6.0, 12), [0.0]])
+    for q in (1e-6, 0.2, 0.7, 1.0):
+        arrays = chaos_values(40, rs, q)
+        for idx, r in enumerate(rs):
+            scalars = chaos_values(40, float(r), q)
+            for m in range(41):
+                hermite_form = chaos_martingale(m, GaussianState(1.0, float(r), q), method="hermite")
+                polynomial_form = chaos_polynomial(m, q)(float(r))
+                tol = 1e-13 * _term_scale(m, r, q)
+                assert abs(scalars[m] - hermite_form) <= tol
+                assert abs(scalars[m] - polynomial_form) <= tol
+                assert chaos_value(m, float(r), q) == scalars[m] == arrays[m][idx]
+        for m in range(41):
+            assert np.array_equal(chaos_value(m, rs, q), arrays[m])
+
+
+def test_chaos_values_broadcast_over_brackets():
+    rs = np.array([[-1.5], [0.3], [2.0]])
+    qs = np.array([0.0, 0.25, 0.9])
+    grid = chaos_values(12, rs, qs)
+    assert len(grid) == 13 and chaos_values(-1, 0.3, 0.2) == []
+    for m, x in enumerate(grid):
+        assert x.shape == (3, 3)
+        for i, j in np.ndindex(3, 3):
+            assert x[i, j] == chaos_values(m, float(rs[i, 0]), float(qs[j]))[m]
 
 
 def test_chaos_polynomial_agrees_with_direct_value():

@@ -22,7 +22,7 @@ from chaosrates import (
     multi_state_at,
     pricing_kernel,
 )
-from chaosrates.coherent_model import chaos_value
+from chaosrates.coherent_model import chaos_value, chaos_values
 from chaosrates.incoherent_model import (
     _banded_projection,
     accumulated_gram_matrix,
@@ -276,7 +276,8 @@ class TestMonteCarloAgreement:
             samples = chaos_value(a, r_T, q_T) * chaos_value(b, r_T, q_T)
             mc = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
-            closed = _banded_projection(h, a, b, r_t, q_t, r_t, q_t)
+            x_t = chaos_values(max(a, b), r_t, q_t)
+            closed = _banded_projection(h, a, b, x_t, x_t)
             assert abs(mc - closed) <= 4.0 * se
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosrates import (
@@ -119,6 +119,7 @@ class TestExpectedPositivePart:
         st.floats(0.01, 0.9),
         st.floats(0.0, 1.4),
     )
+    @example(4, 0.369053275149336, 0.369053275149336, 0.0)
     @settings(max_examples=60, deadline=None)
     def test_against_quadrature_oracle(self, n, q_t, gap, strike):
         q_T = q_t + gap * (0.999 - q_t)

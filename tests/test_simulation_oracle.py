@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chaosrates import (
     adaptive_simpson,
     expected_positive_part,
     initial_bond_price,
+    kernel_polynomial,
     mc_conditional_variance,
     mc_price,
     price_bond_call,
@@ -25,6 +27,8 @@ from chaosrates import (
     quadrature_price,
     simulate_chaos_sde,
 )
+from chaosrates.incoherent_model import accumulated_gram_matrix, residual_gram_matrix
+from chaosrates.simulation_oracle import MC_CHUNK
 
 SF = ExponentialDensity(0.7)
 ORDER_TWO = CoherentModel(2, SF)
@@ -188,3 +192,63 @@ class TestMonteCarloPricing:
         closed = pricing_kernel(ORDER_TWO, state).pi
         est, se = mc_conditional_variance(ORDER_TWO, state, 400_000, 19)
         assert abs(est - closed) <= 4.0 * se
+
+
+class TestChunkedMonteCarlo:
+    # three chunks, the last one partial
+    SAMPLES = 2 * MC_CHUNK + 17
+
+    @staticmethod
+    def _mean_and_error(vals):
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+    def _assert_close(self, got, want):
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+    def test_coherent_call_matches_one_shot_draw(self):
+        model, spec, seed = CoherentModel(3, SF), OptionSpec(1.0, 2.0, 0.55), 21
+        q_t, q_T = SF.q_at(1.0), SF.q_at(2.0)
+        r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
+        numer = kernel_polynomial(3, q_t, q_T)(r)
+        pi = kernel_polynomial(3, q_t, q_t)(r)
+        want = self._mean_and_error(6.0 * np.maximum(numer - 0.55 * pi, 0.0))
+        self._assert_close(mc_price(model, spec, self.SAMPLES, seed), want)
+
+    def test_coherent_swaption_matches_one_shot_draw(self):
+        spec, seed = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05), 22
+        q_t = SF.q_at(1.0)
+        r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
+        pi = kernel_polynomial(2, q_t, q_t)(r)
+        numers = [kernel_polynomial(2, q_t, SF.q_at(T))(r) for T in spec.payment_dates]
+        want = self._mean_and_error(2.0 * np.maximum(pi - numers[-1] - 0.05 * sum(numers), 0.0))
+        self._assert_close(mc_price(ORDER_TWO, spec, self.SAMPLES, seed), want)
+
+    def test_incoherent_bond_matches_one_shot_draw(self):
+        # order two: pi_t = sum_ij c_i c_j (g_ij R_i R_j + g_ij^2 / 2)
+        other = ExponentialDensity(0.2)
+        model = IncoherentModel((IncoherentTerm(0.8, 2, SF), IncoherentTerm(-0.3, 2, other)))
+        T, seed = 1.5, 23
+        vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, T))
+        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        r = np.random.default_rng(seed).standard_normal((self.SAMPLES, 2)) @ factor.T
+        c = np.array([0.8, -0.3])
+
+        def kernel(g, r):
+            return sum(c[i] * c[j] * (g[i, j] * r[:, i] * r[:, j] + 0.5 * g[i, j] ** 2) for i in range(2) for j in range(2))
+
+        pi_0 = kernel(residual_gram_matrix(model, 0.0), np.zeros((1, 2)))[0]
+        want = self._mean_and_error(kernel(residual_gram_matrix(model, T), r) / pi_0)
+        self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        spec = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05)
+        peaks = []
+        for samples in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                mc_price(CoherentModel(3, SF), spec, samples, 24)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
