@@ -40,16 +40,22 @@ def _load_json(text: str, what: str) -> dict:
         except OSError as e:
             raise ValueError(f"cannot read {what} file {text!r}: {e}") from None
     try:
-        return json.loads(raw)
+        d = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed {what} JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(d).__name__}")
+    return d
 
 
 def _load_model(text: str):
     d = _load_json(text, "model")
-    if "terms" in d:
-        return incoherent_model.from_descriptor(d)
-    return coherent_model.from_descriptor(d)
+    try:
+        if "terms" in d:
+            return incoherent_model.from_descriptor(d)
+        return coherent_model.from_descriptor(d)
+    except (TypeError, OverflowError) as e:  # a field of the wrong JSON type or range
+        raise ValueError(f"malformed model descriptor: {e}") from None
 
 
 def _parse_grid(arg: str):
@@ -89,28 +95,39 @@ def _bond_price_at_zero(model, t: float) -> float:
 
 def cmd_curve(args) -> int:
     model = _load_model(args.model)
-    times = _curve_times(model, args.grid)
-    print("maturity,price")
-    for t in times:
-        print(f"{t!r},{_bond_price_at_zero(model, float(t))!r}")
+    rows = [f"{t!r},{_bond_price_at_zero(model, float(t))!r}" for t in _curve_times(model, args.grid)]
+    print("\n".join(["maturity,price"] + rows))
     return 0
 
 
-def _parse_contract_spec(kind: str, d: dict):
+def _spec_field(kind: str, d: dict, key: str):
     try:
-        if kind == "call":
-            return OptionSpec(
-                option_maturity=float(d["option_maturity"]),
-                bond_maturity=float(d["bond_maturity"]),
-                strike=float(d["strike"]),
-            )
-        return SwaptionSpec(
-            option_maturity=float(d["option_maturity"]),
-            payment_dates=tuple(float(T) for T in d["payment_dates"]),
-            strike=float(d["strike"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"{kind} spec is missing the {e.args[0]!r} field") from None
+        return d[key]
+    except KeyError:
+        raise ValueError(f"{kind} spec is missing the {key!r} field") from None
+
+
+def _spec_number(kind: str, key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} spec field {key!r} must hold numbers, got {value!r}") from None
+
+
+def _parse_contract_spec(kind: str, d: dict):
+    def number(key):
+        return _spec_number(kind, key, _spec_field(kind, d, key))
+
+    if kind == "call":
+        return OptionSpec(number("option_maturity"), number("bond_maturity"), number("strike"))
+    dates = _spec_field(kind, d, "payment_dates")
+    if not isinstance(dates, list):
+        raise ValueError(f"{kind} spec field 'payment_dates' must be a list of numbers, got {dates!r}")
+    return SwaptionSpec(
+        number("option_maturity"),
+        tuple(_spec_number(kind, "payment_dates", T) for T in dates),
+        number("strike"),
+    )
 
 
 def cmd_price(args) -> int:

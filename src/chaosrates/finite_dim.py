@@ -199,32 +199,36 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     bond = np.ones_like(r)
     np.divide(numer, pi, out=bond, where=alive & (pi > 0))
 
+    starts, brackets = tuple(starts.tolist()), tuple(q.tolist())
     return [
         SimplePath(
             bond_maturity=bond_maturity,
-            segment_starts=tuple(starts),
-            values=tuple(r[j]),
-            brackets=tuple(q),
-            kernels=tuple(pi[j]),
-            bond_prices=tuple(bond[j]),
+            segment_starts=starts,
+            values=tuple(values),
+            brackets=brackets,
+            kernels=tuple(kernels),
+            bond_prices=tuple(bonds),
         )
-        for j in range(count)
+        for values, kernels, bonds in zip(r.tolist(), pi.tolist(), bond.tolist())
     ]
 
 
 def write_paths_csv(paths: list, out_dir) -> list:
-    """Write one CSV per path (columns time,R,Q,pi,P); returns the file paths."""
+    """Write one CSV per path (columns time,R,Q,pi,P); returns the file paths.
+
+    Each file is formatted in memory and written in one call: repr floats,
+    comma separated, CRLF line ends (the csv module's default dialect).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(len(paths) - 1)))
     written = []
     for j, path in enumerate(paths):
         target = out / f"path_{j:0{width}d}.csv"
+        rows = zip(path.segment_starts, path.values, path.brackets, path.kernels, path.bond_prices)
+        lines = ["time,R,Q,pi,P"] + [",".join([repr(float(v)) for v in row]) for row in rows]
         with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "R", "Q", "pi", "P"])
-            for row in zip(path.segment_starts, path.values, path.brackets, path.kernels, path.bond_prices):
-                writer.writerow([repr(float(v)) for v in row])
+            fh.write("\r\n".join(lines) + "\r\n")
         written.append(target)
     return written
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent_model import MAX_ORDER, chaos_values
-from .structure_functions import StructureFunction, residual_inner_product
+from .structure_functions import StructureFunction, check_finite, residual_inner_product
 from . import structure_functions
 
 
@@ -40,6 +40,7 @@ class IncoherentTerm:
     sf: StructureFunction
 
     def __post_init__(self) -> None:
+        check_finite("term weight", (self.weight,))
         if (
             isinstance(self.order, bool)
             or not isinstance(self.order, int)
@@ -245,6 +246,8 @@ def from_descriptor(d: dict) -> IncoherentModel:
     """Build an incoherent model from {"terms": [{"c":..., "n":..., "sf":...}]}."""
     if not isinstance(d, dict) or "terms" not in d:
         raise ValueError("incoherent model descriptor must be an object with a 'terms' key")
+    if not isinstance(d["terms"], list) or not all(isinstance(entry, dict) for entry in d["terms"]):
+        raise ValueError("incoherent model 'terms' must be a list of objects")
     terms = []
     for entry in d["terms"]:
         n = entry.get("n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .coherent_model import CoherentModel, chaos_polynomial, kernel_coefficient
 from .special_functions import RealPolynomial, gaussian_partial_moments
+from .structure_functions import check_finite
 
 MAX_DEGREE = 30
 
@@ -27,6 +28,7 @@ class BondSpec:
     maturity: float
 
     def __post_init__(self) -> None:
+        check_finite("bond maturity", (self.maturity,))
         if not self.maturity > 0:
             raise ValueError(f"bond maturity must be positive, got {self.maturity}")
 
@@ -40,6 +42,7 @@ class OptionSpec:
     strike: float
 
     def __post_init__(self) -> None:
+        check_finite("option maturity, bond maturity and strike", (self.option_maturity, self.bond_maturity, self.strike))
         if not 0 < self.option_maturity <= self.bond_maturity:
             raise ValueError(
                 f"need 0 < option maturity <= bond maturity, got "
@@ -65,6 +68,7 @@ class SwaptionSpec:
         dates = tuple(float(T) for T in self.payment_dates)
         if not dates:
             raise ValueError("swaption needs at least one payment date")
+        check_finite("option maturity, payment dates and strike", (self.option_maturity, *dates, self.strike))
         if self.option_maturity < 0:
             raise ValueError(f"option maturity must be nonnegative, got {self.option_maturity}")
         if not self.option_maturity < dates[0] or any(b <= a for a, b in zip(dates, dates[1:])):

@@ -10,21 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .coherent_model import CoherentModel, chaos_value, chaos_values, iter_chaos_values, kernel_coefficient
-from .incoherent_model import (
-    IncoherentModel,
-    MultiGaussianState,
-    _banded_projection,
-    _split_mixed,
-    accumulated_gram_matrix,
-    incoherent_kernel,
-    mixed_order_kernel,
-    multi_state_at,
-    residual_gram_matrix,
-)
+from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
 from .polynomial_pricer import BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial
 from .structure_functions import GaussianState
@@ -143,88 +134,23 @@ def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
     )
 
 
-def _numerator_coefficients(n: int, targets) -> list:
-    """Per target, the weight of X^(2n-2k) for k = 1..n in its bond numerators.
+def _payoff_legs(payoff) -> tuple:
+    """(t, weight, legs, clipped): the payoff at t, per unit of pi_0, as
 
-    A target is a tuple of bracket levels q_T whose numerators
-    sum_k w_k (1 - q_T^k) X^(2n-2k) add up.
+        weight * pi_t + sum_{(T, b) in legs} b * E_t[pi_T],
+
+    positive part taken when clipped.  A bond pays pi_T at t = T; a call
+    on the T-bond struck at K is E_t[pi_T] - K pi_t; a payer swaption is
+    pi_t - E_t[pi_{T_N}] - K sum_i E_t[pi_{T_i}].
     """
-    return [
-        [float(kernel_coefficient(n, k)) * sum(1.0 - q_T**k for q_T in target) for k in range(1, n + 1)]
-        for target in targets
-    ]
-
-
-def _coherent_sums(n: int, r, q: float, coefs) -> list:
-    """Each target's summed bond numerators at sampled r, in one walk of the
-    chaos recurrence that folds every even order into one accumulator per
-    target, so memory depends neither on n nor on the number of levels."""
-    accs = [0.0] * len(coefs)
-    for j, x in enumerate(iter_chaos_values(2 * n - 2, r, q)):
-        if j % 2 == 0:
-            k = n - j // 2
-            accs = [acc + c[k - 1] * x for acc, c in zip(accs, coefs)]
-    return accs
-
-
-def _incoherent_kernel_samples(model: IncoherentModel, gram_t, q_t, xs: list) -> np.ndarray:
-    """pi_t per sampled state row from the per-term chaos arrays xs.
-
-    gram_t is the residual Gram matrix at t, q_t the per-term brackets and
-    xs[i] = X^(0..n_i-1) of term i at the sampled driver values.
-    """
-    terms = model.terms
-    if len(set(model.orders)) == 1:
-        n = terms[0].order
-        total = 0.0
-        for i, ti in enumerate(terms):
-            for j, tj in enumerate(terms):
-                g = gram_t[i, j]
-                inner = sum(
-                    g**k / math.factorial(k) * xs[i][n - k] * xs[j][n - k]
-                    for k in range(1, n + 1)
-                )
-                total += ti.weight * tj.weight * inner
-        return total
-    lin, high, i1 = _split_mixed(model)
-    i2 = 1 - i1
-    n = high.order
-    x2 = xs[i2]
-    diag = sum((1.0 - q_t[i2]) ** k / math.factorial(k) * x2[n - k] ** 2 for k in range(1, n + 1))
-    cross = 2.0 * lin.weight * high.weight * gram_t[i1, i2] * x2[n - 1]
-    return lin.weight**2 * (1.0 - q_t[i1]) + high.weight**2 * diag + cross
-
-
-def _incoherent_numer_samples(model: IncoherentModel, gram_t, gram_T, q_T, xs: list) -> np.ndarray:
-    """E_t[pi_T] per sampled state row, via the banded projection identity.
-
-    gram_T and q_T are the residual Gram matrix and the brackets at T; the
-    other arguments are as for _incoherent_kernel_samples.
-    """
-    terms = model.terms
-    if len(set(model.orders)) == 1:
-        n = terms[0].order
-        total = 0.0
-        for i, ti in enumerate(terms):
-            for j, tj in enumerate(terms):
-                g_T = gram_T[i, j]
-                h = gram_t[i, j] - g_T
-                inner = 0.0
-                for k in range(1, n + 1):
-                    inner = inner + g_T**k / math.factorial(k) * _banded_projection(h, n - k, n - k, xs[i], xs[j])
-                total += ti.weight * tj.weight * inner
-        return total
-    lin, high, i1 = _split_mixed(model)
-    i2 = 1 - i1
-    n = high.order
-    x2 = xs[i2]
-    h22 = gram_t[i2, i2] - gram_T[i2, i2]
-    diag = sum(
-        (1.0 - q_T[i2]) ** k / math.factorial(k) * _banded_projection(h22, n - k, n - k, x2, x2)
-        for k in range(1, n + 1)
-    )
-    cross = 2.0 * lin.weight * high.weight * gram_T[i1, i2] * x2[n - 1]
-    return lin.weight**2 * (1.0 - q_T[i1]) + high.weight**2 * diag + cross
+    if isinstance(payoff, BondSpec):
+        return payoff.maturity, 1.0, [], False
+    if isinstance(payoff, OptionSpec):
+        return payoff.option_maturity, -payoff.strike, [(payoff.bond_maturity, 1.0)], True
+    if isinstance(payoff, SwaptionSpec):
+        dates, strike = payoff.payment_dates, payoff.strike
+        return payoff.option_maturity, 1.0, [(dates[-1], -1.0)] + [(T, -strike) for T in dates], True
+    raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
 
 
 def _joint_driver_factor(model: IncoherentModel, t: float) -> np.ndarray:
@@ -236,16 +162,22 @@ def _joint_driver_factor(model: IncoherentModel, t: float) -> np.ndarray:
 def _chunked_mean_and_error(samples: int, chunk_values) -> tuple:
     """Mean and standard error of `samples` payoff values made MC_CHUNK at a time.
 
-    chunk_values(size) draws and evaluates one chunk.  Per-chunk
-    (count, mean, M2) triples merge by the pairwise update of Chan, Golub
-    and LeVeque, so memory stays constant whatever the sample count.
+    chunk_values(size) draws and evaluates one chunk into an array that is
+    overwritten here.  Per-chunk (count, mean, M2) triples merge by the
+    pairwise update of Chan, Golub and LeVeque, so memory stays constant
+    whatever the sample count.  Callers keep their chunk arrays for the
+    whole price: freeing and reallocating them per chunk returns the memory
+    to the system and faults fresh pages back in, which once cost more
+    than the arithmetic.
     """
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, samples, MC_CHUNK):
         vals = chunk_values(min(MC_CHUNK, samples - start))
         size = vals.size
         chunk_mean = float(np.mean(vals))
-        chunk_m2 = float(np.sum((vals - chunk_mean) ** 2))
+        vals -= chunk_mean
+        vals *= vals
+        chunk_m2 = float(np.sum(vals))
         delta = chunk_mean - mean
         total = count + size
         mean += delta * size / total
@@ -255,88 +187,119 @@ def _chunked_mean_and_error(samples: int, chunk_values) -> tuple:
 
 
 def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
+    """The payoff folded into one chaos-coefficient form before any draw.
+
+    pi_t = sum_k w_k (1 - q_t^k) X^(2n-2k) and E_t[pi_T] is the same sum with
+    q_T, so the whole payoff, times n!, is sum_k c_k X^(2n-2k) with c_k =
+    n! w_k sum_legs b (1 - q^k).  Each chunk folds the even orders of one
+    recurrence walk into a single accumulator.
+    """
     n = model.n
-    fact = math.factorial(n)
-    if isinstance(payoff, BondSpec):
-        q = model.sf.q_at(payoff.maturity)
-        targets = [(q,)]
-
-        def value(pi_T):
-            return pi_T
-
-    elif isinstance(payoff, OptionSpec):
-        t, T, strike = payoff.option_maturity, payoff.bond_maturity, payoff.strike
-        q, q_T = model.sf.q_at(t), model.sf.q_at(T)
-        if q == 0:
-            return max((1.0 - q_T**n) - strike, 0.0), 0.0
-        targets = [(q_T,), (q,)]
-
-        def value(numer, pi):
-            return np.maximum(numer - strike * pi, 0.0)
-
-    elif isinstance(payoff, SwaptionSpec):
-        t, strike = payoff.option_maturity, payoff.strike
-        q = model.sf.q_at(t)
-        q_pay = tuple(model.sf.q_at(T) for T in payoff.payment_dates)
-        if q == 0:
-            fixed = strike * sum(1.0 - q_i**n for q_i in q_pay)
-            return max((1.0 - q**n) - (1.0 - q_pay[-1] ** n) - fixed, 0.0), 0.0
-        targets = [(q,), (q_pay[-1],), q_pay]
-
-        def value(pi, numer_last, fixed_numers):
-            return np.maximum(pi - numer_last - strike * fixed_numers, 0.0)
-
-    else:
-        raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
+    t, weight, legs, clipped = _payoff_legs(payoff)
+    q = model.sf.q_at(t)
+    levels = [(q, weight)] + [(model.sf.q_at(T), b) for T, b in legs]
+    total = sum(b for _, b in levels)
+    # even[j] is the coefficient of X^(2j); n! w_k is exact before rounding,
+    # and sum b (1 - q^k) is summed as total - sum b q^k, so nearby levels
+    # cancel in q^k, not in 1 - q^k
+    even = [
+        float(math.factorial(n) * kernel_coefficient(n, k)) * (total - sum(b * q_T**k for q_T, b in levels))
+        for k in range(n, 0, -1)
+    ]
+    if q == 0:  # no variance by t: R_t = 0, and only X^(0) = 1 survives
+        return (max(even[0], 0.0) if clipped else even[0]), 0.0
     sd = math.sqrt(q)
-    coefs = _numerator_coefficients(n, targets)
+    draws, acc, prod = np.empty((3, min(samples, MC_CHUNK)))
 
     def chunk_values(size):
-        r = sd * rng.standard_normal(size)
-        return fact * value(*_coherent_sums(n, r, q, coefs))
+        r = rng.standard_normal(out=draws[:size])
+        r *= sd
+        out, tmp = acc[:size], prod[:size]
+        out.fill(even[0])
+        for c, x in zip(even[1:], islice(iter_chaos_values(2 * n - 2, r, q), 2, None, 2)):
+            out += np.multiply(x, c, out=tmp)
+        if clipped:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     return _chunked_mean_and_error(samples, chunk_values)
 
 
-def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
-    zero_state = multi_state_at(model, 0.0, [0.0] * len(model.terms))
-    if len(set(model.orders)) == 1:
-        pi_0 = incoherent_kernel(model, zero_state)
-    else:
-        pi_0 = mixed_order_kernel(model, zero_state)
-    if isinstance(payoff, BondSpec):
-        t, dates = payoff.maturity, ()
+def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> tuple:
+    """The payoff of an incoherent model as one quadratic form in chaos values.
 
-        def value(pi, numers):
-            return pi
+    With g = int_t^inf phi_i phi_j and X_i^(m) = X_t^(m)(phi_i), splitting
+    each X_inf^(n_i) into time-t chaos times chaos of the increments after t
+    gives, for any orders,
 
-    elif isinstance(payoff, OptionSpec):
-        t, dates, strike = payoff.option_maturity, (payoff.bond_maturity,), payoff.strike
+        pi_t     = sum_ij c_i c_j sum_{s=1..min(n_i,n_j)} g^s / s! X_i^(n_i-s) X_j^(n_j-s),
+        E_t[pi_T] = the same with g^s replaced by g^s - h^s,  h = g - g_T,
 
-        def value(pi, numers):
-            return np.maximum(numers[0] - strike * pi, 0.0)
-
-    elif isinstance(payoff, SwaptionSpec):
-        t, dates, strike = payoff.option_maturity, payoff.payment_dates, payoff.strike
-
-        def value(pi, numers):
-            return np.maximum(pi - numers[-1] - strike * sum(numers), 0.0)
-
-    else:
-        raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
+    since E_t[pi_T] = pi_t - Var_t(E_T[X]) and E_T[X] carries the window
+    products h.  g^s - h^s is summed as g_T sum_k g^k h^(s-1-k), free of
+    cancellation when T is far.  Returns (constant, products) divided by
+    pi_0: products holds (coefficient, i, a, j, b) for X_i^(a) X_j^(b) with
+    a <= b, pairs i < j counted twice, and a = 0 meaning X^(0) = 1.
+    """
     terms = model.terms
-    gram_t = residual_gram_matrix(model, t)
+    grams = [residual_gram_matrix(model, T) for T, _ in legs]
+    gram_t, gram_0 = residual_gram_matrix(model, t), residual_gram_matrix(model, 0.0)
+    # at t = 0 every X^(m >= 1) vanishes: only s = n_i = n_j survives
+    pi_0 = sum(
+        ti.weight * tj.weight * gram_0[i, j] ** ti.order / math.factorial(ti.order)
+        for i, ti in enumerate(terms)
+        for j, tj in enumerate(terms)
+        if ti.order == tj.order
+    )
+    if not pi_0 > 0:
+        raise ValueError("the terms cancel: the time-0 pricing kernel is not positive")
+    constant, products = 0.0, []
+    for i, ti in enumerate(terms):
+        for j in range(i, len(terms)):
+            tj = terms[j]
+            g = gram_t[i, j]
+            scale = (1.0 if i == j else 2.0) * ti.weight * tj.weight / pi_0
+            for s in range(1, min(ti.order, tj.order) + 1):
+                value = weight * g**s
+                for (_, leg_weight), gram_T in zip(legs, grams):
+                    g_T = gram_T[i, j]
+                    h = g - g_T
+                    value += leg_weight * g_T * sum(g**k * h ** (s - 1 - k) for k in range(s))
+                coef = scale * value / math.factorial(s)
+                (a, u), (b, v) = sorted([(ti.order - s, i), (tj.order - s, j)])
+                if b == 0:
+                    constant += coef
+                else:
+                    products.append((coef, u, a, v, b))
+    return constant, products
+
+
+def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
+    t, weight, legs, clipped = _payoff_legs(payoff)
+    terms = model.terms
+    constant, products = _incoherent_form(model, t, weight, legs)
     q_t = [term.sf.q_at(t) for term in terms]
-    levels = [(residual_gram_matrix(model, T), [term.sf.q_at(T) for term in terms]) for T in dates]
     factor = _joint_driver_factor(model, t)
+    width = min(samples, MC_CHUNK)
+    acc, prod = np.empty((2, width))
+    z, drivers = np.empty((2, width, len(terms)))
 
     def chunk_values(size):
-        r = rng.standard_normal((size, len(terms))) @ factor.T
-        # each term's chaos arrays, once for the kernel and every numerator
-        xs = [chaos_values(term.order - 1, r[:, i], q_t[i]) for i, term in enumerate(terms)]
-        pi = _incoherent_kernel_samples(model, gram_t, q_t, xs)
-        numers = [_incoherent_numer_samples(model, gram_t, gram_T, q_T, xs) for gram_T, q_T in levels]
-        return value(pi, numers) / pi_0
+        r = np.matmul(rng.standard_normal(out=z[:size]), factor.T, out=drivers[:size])
+        xs = []
+        for i, term in enumerate(terms):
+            x = chaos_values(term.order - 1, np.ascontiguousarray(r[:, i]), q_t[i])
+            x[0] = 1.0  # a scalar, so a linear term costs one multiply
+            xs.append(x)
+        out, tmp = acc[:size], prod[:size]
+        out.fill(constant)
+        for c, i, a, j, b in products:
+            np.multiply(xs[i][a], xs[j][b], out=tmp)
+            tmp *= c
+            out += tmp
+        if clipped:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     return _chunked_mean_and_error(samples, chunk_values)
 
@@ -358,7 +321,8 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
 
     Uses mean(X_inf^2) - (E_t[X_inf])^2 with the conditional mean known in
     closed form (martingale property), halving the estimator noise relative
-    to a plain sample variance.
+    to a plain sample variance.  The squares are drawn and averaged
+    MC_CHUNK at a time, so memory stays constant.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -366,22 +330,27 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
     if isinstance(model, CoherentModel) and isinstance(state, GaussianState):
         x_t = chaos_value(model.n, state.R, state.Q)
         resid = math.sqrt(1.0 - state.Q)
-        r_inf = state.R + resid * rng.standard_normal(samples)
-        squares = chaos_value(model.n, r_inf, 1.0) ** 2
-        est = float(np.mean(squares)) - x_t**2
+
+        def chunk_squares(size):
+            r_inf = state.R + resid * rng.standard_normal(size)
+            return chaos_value(model.n, r_inf, 1.0) ** 2
+
     elif isinstance(model, IncoherentModel) and isinstance(state, MultiGaussianState):
         gram = np.asarray(state.residual_gram)
         vals, vecs = np.linalg.eigh(gram)
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        delta = rng.standard_normal((samples, gram.shape[0])) @ factor.T
-        x_inf = np.zeros(samples)
         x_t = 0.0
         for i, term in enumerate(model.terms):
-            x_inf += term.weight * chaos_value(term.order, state.values[i] + delta[:, i], 1.0)
             x_t += term.weight * chaos_value(term.order, state.values[i], state.brackets[i])
-        squares = x_inf**2
-        est = float(np.mean(squares)) - x_t**2
+
+        def chunk_squares(size):
+            delta = rng.standard_normal((size, gram.shape[0])) @ factor.T
+            x_inf = np.zeros(size)
+            for i, term in enumerate(model.terms):
+                x_inf += term.weight * chaos_value(term.order, state.values[i] + delta[:, i], 1.0)
+            return x_inf**2
+
     else:
         raise ValueError("model/state pairing not supported")
-    se = float(np.std(squares, ddof=1) / math.sqrt(samples))
-    return est, se
+    mean, se = _chunked_mean_and_error(samples, chunk_squares)
+    return mean - x_t**2, se

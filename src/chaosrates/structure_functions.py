@@ -51,6 +51,12 @@ def _check_time(t) -> None:
         raise ValueError(f"time must be nonnegative, got {t}")
 
 
+def check_finite(what: str, values) -> None:
+    """Reject NaN and infinite inputs, which no ordering check catches."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite, got {tuple(values)!r}")
+
+
 @dataclass(frozen=True)
 class ExponentialDensity(StructureFunction):
     """phi**2(s) = rate * exp(-rate * s); any positive rate has unit mass."""
@@ -60,6 +66,7 @@ class ExponentialDensity(StructureFunction):
     normalisation_scale = 1.0
 
     def __post_init__(self) -> None:
+        check_finite("rate", (self.rate,))
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
@@ -91,6 +98,7 @@ class PiecewiseConstantDensity(StructureFunction):
         values = tuple(float(v) for v in self.values)
         if len(breaks) != len(values) or not breaks:
             raise ValueError("breaks and values must be nonempty and equal length")
+        check_finite("breaks and values", breaks + values)
         if breaks[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise ValueError("breaks must be strictly increasing and positive")
         if any(v < 0 for v in values):
@@ -144,6 +152,7 @@ class DiscreteAtoms(StructureFunction):
         weights = tuple(self.weights)
         if len(times) != len(weights) or not times:
             raise ValueError("times and weights must be nonempty and equal length")
+        check_finite("atom times and weights", times + weights)
         if times[0] <= 0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("atom times must be strictly increasing and positive")
         if any(w < 0 for w in weights):

@@ -195,6 +195,61 @@ class TestPrice:
         assert abs(payload["price"] - closed) <= 4.0 * payload["stderr"]
 
 
+class TestBadInput:
+    # each input once printed a value and exited 0, or exited 1 with an
+    # internal error; all must exit 2 with nothing on stdout
+    NAN_STRIKE = '{"option_maturity": 1.0, "bond_maturity": 2.0, "strike": NaN}'
+    INFINITE_RATE = '{"n": 2, "sf": {"family": "exponential", "lambda": Infinity}}'
+
+    @pytest.mark.parametrize("method", ["analytic", "mc"])
+    def test_nan_strike(self, capsys, method):
+        code, out, err = run(capsys, "price", "call", "--model", EXP_MODEL, "--spec", self.NAN_STRIKE, "--method", method)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("curve",), ("price", "call", "--spec", CALL_SPEC)],
+    )
+    def test_infinite_rate(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--model", self.INFINITE_RATE)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    def test_nan_atom_time(self, capsys):
+        model = '{"n": 2, "sf": {"family": "atoms", "times": [NaN, 2.0], "weights": [0.5, 0.5]}}'
+        code, out, _ = run(capsys, "curve", "--model", model)
+        assert (code, out) == (2, "")
+
+    def test_model_file_holding_a_number(self, capsys, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text("5")
+        code, out, err = run(capsys, "curve", "--model", str(model_file))
+        assert (code, out) == (2, "")
+        assert "object" in err
+
+    @pytest.mark.parametrize("dates", ["5", '"2.0"', "[2.0, null]"])
+    def test_payment_dates_not_a_list_of_numbers(self, capsys, dates):
+        spec = '{"option_maturity": 1.0, "payment_dates": %s, "strike": 0.05}' % dates
+        code, out, err = run(capsys, "price", "swaption", "--model", EXP_MODEL, "--spec", spec)
+        assert (code, out) == (2, "")
+        assert "payment_dates" in err
+
+    def test_curve_failing_past_the_header_prints_nothing(self, capsys):
+        # orders (2, 3) have no closed-form curve; the error used to follow
+        # a printed maturity,price header
+        sf = {"family": "exponential", "lambda": 0.7}
+        model = json.dumps({"terms": [{"c": 1.0, "n": 2, "sf": sf}, {"c": 0.5, "n": 3, "sf": sf}]})
+        code, out, _ = run(capsys, "curve", "--model", model)
+        assert (code, out) == (2, "")
+
+    def test_null_strike(self, capsys):
+        spec = '{"option_maturity": 1.0, "bond_maturity": 2.0, "strike": null}'
+        code, out, err = run(capsys, "price", "call", "--model", EXP_MODEL, "--spec", spec)
+        assert (code, out) == (2, "")
+        assert "strike" in err
+
+
 class TestSimulate:
     def test_writes_paths(self, capsys, tmp_path):
         out_dir = tmp_path / "paths"

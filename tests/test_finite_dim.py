@@ -282,6 +282,23 @@ class TestCsvRoundTrip:
         )
         assert got == want  # repr round-trip is exact
 
+    def test_written_bytes_match_the_csv_module(self, tmp_path):
+        # the one-call writer must keep the csv.writer bytes: repr floats,
+        # CRLF line ends, the path_NNNNN.csv names
+        import csv as csvmod
+        import io
+
+        paths = simulate_paths(TEN_YEARS, 3, 7.0, 4, 12)
+        files = write_paths_csv(paths, tmp_path / "out")
+        for j, (path, target) in enumerate(zip(paths, files)):
+            buf = io.StringIO(newline="")
+            writer = csvmod.writer(buf)
+            writer.writerow(["time", "R", "Q", "pi", "P"])
+            for row in zip(path.segment_starts, path.values, path.brackets, path.kernels, path.bond_prices):
+                writer.writerow([repr(float(v)) for v in row])
+            assert target.name == f"path_{j:05d}.csv"
+            assert target.read_bytes() == buf.getvalue().encode()
+
     def test_market_curve_round_trip(self, tmp_path):
         target = tmp_path / "market.csv"
         target.write_text("maturity,price\n1.0,0.94\n2.0,0.85\n\n3.0,0.71\n")

@@ -54,6 +54,11 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 IncoherentTerm(1.0, bad, SF)
 
+    def test_term_weight_must_be_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                IncoherentTerm(bad, 2, SF)
+
     def test_model_needs_terms(self):
         with pytest.raises(ValueError):
             IncoherentModel(())
@@ -80,6 +85,9 @@ class TestConstruction:
             from_descriptor({"terms": [{"c": 1.0, "n": True, "sf": {"family": "exponential", "rate": 1.0}}]})
         with pytest.raises(ValueError):
             from_descriptor({"terms": [{"c": 1.0, "n": 1.5, "sf": {"family": "exponential", "rate": 1.0}}]})
+        for terms in (5, [5], "abc"):
+            with pytest.raises(ValueError, match="list of objects"):
+                from_descriptor({"terms": terms})
 
 
 class TestStateValidation:

@@ -62,6 +62,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BondSpec(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields(self, bad):
+        # no ordering check catches NaN, and an infinite date or strike
+        # would price to nan or 0
+        with pytest.raises(ValueError, match="finite"):
+            BondSpec(bad)
+        for args in [(1.0, 2.0, bad), (1.0, bad, 0.5), (bad, 2.0, 0.5)]:
+            with pytest.raises(ValueError, match="finite"):
+                OptionSpec(*args)
+        for args in [(1.0, (2.0, 3.0), bad), (1.0, (2.0, bad), 0.1), (bad, (2.0, 3.0), 0.1)]:
+            with pytest.raises(ValueError, match="finite"):
+                SwaptionSpec(*args)
+
 
 class TestExpectedPositivePart:
     def test_positive_constant_is_its_own_expectation(self):

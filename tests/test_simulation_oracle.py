@@ -27,8 +27,14 @@ from chaosrates import (
     quadrature_price,
     simulate_chaos_sde,
 )
-from chaosrates.incoherent_model import accumulated_gram_matrix, residual_gram_matrix
-from chaosrates.simulation_oracle import MC_CHUNK
+from chaosrates.coherent_model import chaos_values
+from chaosrates.incoherent_model import (
+    _banded_projection,
+    accumulated_gram_matrix,
+    multi_state_at,
+    residual_gram_matrix,
+)
+from chaosrates.simulation_oracle import MC_CHUNK, _incoherent_form
 
 SF = ExponentialDensity(0.7)
 ORDER_TWO = CoherentModel(2, SF)
@@ -187,6 +193,12 @@ class TestMonteCarloPricing:
         est, se = mc_price(inc, spec, 300_000, 18)
         assert abs(est - closed) <= 4.0 * se
 
+    def test_cancelling_incoherent_terms_are_rejected(self):
+        # X = X^(2)(phi) - X^(2)(phi) vanishes, and so does pi_0
+        model = IncoherentModel((IncoherentTerm(1.0, 2, SF), IncoherentTerm(-1.0, 2, SF)))
+        with pytest.raises(ValueError, match="not positive"):
+            mc_price(model, OptionSpec(1.0, 2.0, 0.5), 100, 1)
+
     def test_conditional_variance_matches_kernel(self):
         state = GaussianState(1.0, 0.4, SF.q_at(1.0))
         closed = pricing_kernel(ORDER_TWO, state).pi
@@ -224,6 +236,67 @@ class TestChunkedMonteCarlo:
         want = self._mean_and_error(2.0 * np.maximum(pi - numers[-1] - 0.05 * sum(numers), 0.0))
         self._assert_close(mc_price(ORDER_TWO, spec, self.SAMPLES, seed), want)
 
+    def test_coherent_bond_matches_one_shot_draw(self):
+        # the one payoff left unclipped: n! pi_T at the T-bracket
+        model, T, seed = CoherentModel(3, SF), 2.0, 25
+        q_T = SF.q_at(T)
+        r = math.sqrt(q_T) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
+        want = self._mean_and_error(6.0 * kernel_polynomial(3, q_T, q_T)(r))
+        self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
+
+    def _incoherent_one_shot(self, model, payoff, seed):
+        """The payoff per unit of pi_0 from one full-size draw, each bond
+        numerator as the unexpanded double sum over banded projections,
+
+            E_t[pi_T] = sum_ij c_i c_j sum_k g_T^k / k! E_t[X_T^(n_i-k) X_T^(n_j-k)],
+
+        and pi_t the same at T = t, where the projection window h vanishes."""
+        terms = model.terms
+        t = payoff.option_maturity
+        vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        r = np.random.default_rng(seed).standard_normal((self.SAMPLES, len(terms))) @ factor.T
+        g_t = residual_gram_matrix(model, t)
+
+        def numerator(xs, g_now, T):
+            g_T = residual_gram_matrix(model, T)
+            return sum(
+                ti.weight * tj.weight * g_T[i, j] ** k / math.factorial(k)
+                * _banded_projection(g_now[i, j] - g_T[i, j], ti.order - k, tj.order - k, xs[i], xs[j])
+                for i, ti in enumerate(terms)
+                for j, tj in enumerate(terms)
+                for k in range(1, min(ti.order, tj.order) + 1)
+            )
+
+        xs = [chaos_values(term.order, r[:, i], term.sf.q_at(t)) for i, term in enumerate(terms)]
+        zero = [chaos_values(term.order, 0.0, 0.0) for term in terms]
+        pi_0 = numerator(zero, residual_gram_matrix(model, 0.0), 0.0)
+        pi_t = numerator(xs, g_t, t)
+        if isinstance(payoff, OptionSpec):
+            value = numerator(xs, g_t, payoff.bond_maturity) - payoff.strike * pi_t
+        else:
+            numers = [numerator(xs, g_t, T) for T in payoff.payment_dates]
+            value = pi_t - numers[-1] - payoff.strike * sum(numers)
+        return self._mean_and_error(np.maximum(value, 0.0) / pi_0)
+
+    @pytest.mark.parametrize(
+        "orders, payoff",
+        [
+            ((3, 3), OptionSpec(1.0, 3.0, 0.3)),
+            ((1, 3), OptionSpec(1.0, 3.0, 0.3)),
+            ((2, 2), SwaptionSpec(1.0, (2.0, 3.0, 4.5), 0.05)),
+            ((2, 3), OptionSpec(0.8, 2.5, 0.4)),
+        ],
+        ids=["call-equal-order", "call-one-plus-n", "swaption-equal-order", "call-orders-2-3"],
+    )
+    def test_incoherent_payoff_matches_one_shot_draw(self, orders, payoff):
+        model = IncoherentModel(
+            (IncoherentTerm(0.8, orders[0], SF), IncoherentTerm(0.5, orders[1], ExponentialDensity(0.2)))
+        )
+        want = self._incoherent_one_shot(model, payoff, 26)
+        assert want[0] > 0.0
+        self._assert_close(mc_price(model, payoff, self.SAMPLES, 26), want)
+
     def test_incoherent_bond_matches_one_shot_draw(self):
         # order two: pi_t = sum_ij c_i c_j (g_ij R_i R_j + g_ij^2 / 2)
         other = ExponentialDensity(0.2)
@@ -241,6 +314,14 @@ class TestChunkedMonteCarlo:
         want = self._mean_and_error(kernel(residual_gram_matrix(model, T), r) / pi_0)
         self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
 
+    def test_conditional_variance_matches_one_shot_draw(self):
+        state, seed = GaussianState(1.0, 0.4, SF.q_at(1.0)), 27
+        r_inf = 0.4 + math.sqrt(1.0 - state.Q) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
+        squares = ((r_inf**3 - 3.0 * r_inf) / 6.0) ** 2  # X^(3) at bracket 1, squared
+        x_t = (0.4**3 - 3.0 * 0.4 * state.Q) / 6.0
+        mean, se = self._mean_and_error(squares)
+        self._assert_close(mc_conditional_variance(CoherentModel(3, SF), state, self.SAMPLES, seed), (mean - x_t**2, se))
+
     def test_memory_does_not_grow_with_the_sample_count(self):
         spec = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05)
         peaks = []
@@ -252,3 +333,30 @@ class TestChunkedMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+
+    def test_conditional_variance_memory_does_not_grow_with_the_sample_count(self):
+        state = GaussianState(1.0, 0.4, SF.q_at(1.0))
+        peaks = []
+        for samples in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                mc_conditional_variance(CoherentModel(3, SF), state, samples, 28)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+
+
+def test_general_order_kernel_form_is_the_conditional_variance():
+    # orders (2, 3): neither equal nor {1, n}; the oracle's kernel form at a
+    # state, times pi_0, against sampled X_inf at that state.  Chaos of
+    # different orders are orthogonal, so pi_0 = Var X = c1^2 / 2! + c2^2 / 3!
+    # with unit-mass structure functions.
+    model = IncoherentModel((IncoherentTerm(0.8, 2, SF), IncoherentTerm(0.5, 3, ExponentialDensity(0.2))))
+    state = multi_state_at(model, 0.8, [0.3, -0.2])
+    constant, products = _incoherent_form(model, state.t, 1.0, [])
+    xs = [chaos_values(term.order, r, q) for term, r, q in zip(model.terms, state.values, state.brackets)]
+    form = constant + sum(c * xs[i][a] * xs[j][b] for c, i, a, j, b in products)
+    pi_0 = 0.8**2 / 2.0 + 0.5**2 / 6.0
+    est, se = mc_conditional_variance(model, state, 400_000, 29)
+    assert abs(form * pi_0 - est) <= 4.0 * se

@@ -153,6 +153,20 @@ def test_atom_with_density_rejected():
         residual_inner_product(a, d, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ExponentialDensity(bad)
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseConstantDensity((1.0, bad), (0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseConstantDensity((1.0, 2.0), (0.5, bad))
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteAtoms((bad, 2.0), (0.5, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteAtoms((1.0, 2.0), (0.5, bad))
+
+
 class TestDescriptors:
     def test_exponential_round_trip(self):
         sf = ExponentialDensity(0.25)
