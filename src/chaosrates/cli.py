@@ -9,7 +9,9 @@ codes: 0 success, 2 bad input, 1 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import coherent_model, incoherent_model, structure_functions
@@ -66,11 +68,14 @@ def _parse_grid(arg: str):
         t0, t1, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must look like t0:t1:steps with numeric parts, got {arg!r}") from None
-    if steps < 1 or t1 < t0 or t0 < 0:
-        raise ValueError(f"grid needs 0 <= t0 <= t1 and steps >= 1, got {arg!r}")
+    if not (math.isfinite(t0) and math.isfinite(t1)) or steps < 1 or t1 < t0 or t0 < 0:
+        raise ValueError(f"grid needs finite 0 <= t0 <= t1 and steps >= 1, got {arg!r}")
     if steps == 1:
         return [t0]
-    return [t0 + (t1 - t0) * i / (steps - 1) for i in range(steps)]
+    times = [t0 + (t1 - t0) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"grid {arg!r} has points too large to represent")
+    return times
 
 
 def _curve_times(model, grid_arg):
@@ -152,7 +157,7 @@ def cmd_price(args) -> int:
                 else swaption_payoff_polynomial(model, spec)
             )
             out["price"] = quadrature_price(poly, model.n)
-    print(json.dumps(out))
+    print(json.dumps(out, allow_nan=False))
     return 0
 
 
@@ -174,7 +179,8 @@ def cmd_simulate(args) -> int:
                 "paths": len(files),
                 "out": str(args.out),
                 "files": [f.name for f in files],
-            }
+            },
+            allow_nan=False,
         )
     )
     return 0
@@ -184,10 +190,11 @@ def cmd_calibrate(args) -> int:
     market = read_market_curve(args.market)
     grid = calibrate_weights(market, args.order, horizon=args.horizon)
     sf = structure_functions.to_descriptor(grid.structure_function())
-    print(json.dumps({"schema": SCHEMA, "n": args.order, "sf": sf}))
+    print(json.dumps({"schema": SCHEMA, "n": args.order, "sf": sf}, allow_nan=False))
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaos-rates",

@@ -164,24 +164,35 @@ def rate_coefficient(n: int, k: int) -> Fraction:
     return kernel_coefficient(n, k) * k
 
 
+@lru_cache(maxsize=None)
+def _kernel_weights(n: int) -> tuple:
+    # float w_1 .. w_n of the order-n kernel
+    return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
+
+
+def even_chaos_polynomial(n: int, coeffs, q: float) -> RealPolynomial:
+    """sum_{k=1..n} coeffs[k-1] X^(2n-2k) as one polynomial in R, bracket q frozen.
+
+    The polynomial primitive behind every coherent payoff: each nonzero
+    weight is added into a single coefficient list in k order, with the
+    rounding of a per-k sum of c * chaos_polynomial(2n - 2k, q).
+    """
+    out = [0.0] * (2 * n - 1)
+    for k, c in enumerate(coeffs, 1):
+        if c != 0.0:
+            for a, i, p in _chaos_terms(2 * n - 2 * k):
+                out[i] += c * (a * q**p)
+    return RealPolynomial(out)
+
+
 def kernel_polynomial(n: int, q_state: float, q_maturity: float) -> RealPolynomial:
     """E_t[pi at the later bracket level] as a polynomial in R_t.
 
     With q_maturity = q_state this is the kernel itself; with q_maturity read
     at a bond maturity it is the bond-price numerator.  Degree is 2n - 2.
     """
-    acc = RealPolynomial((0.0,))
-    for k in range(1, n + 1):
-        w = float(kernel_coefficient(n, k)) * (1.0 - q_maturity**k)
-        if w != 0.0:
-            acc = acc + w * chaos_polynomial(2 * n - 2 * k, q_state)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _kernel_weights(n: int) -> tuple:
-    # float w_1 .. w_n of the order-n kernel
-    return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
+    w = _kernel_weights(n)
+    return even_chaos_polynomial(n, [w[k - 1] * (1.0 - q_maturity**k) for k in range(1, n + 1)], q_state)
 
 
 def kernel_sums(n: int, xs, levels) -> list:

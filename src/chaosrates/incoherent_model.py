@@ -2,21 +2,25 @@
 
 The terminal random variable is X = sum_i c_i X^(n_i) built from per-term
 structure functions phi_i.  The pricing kernel is the conditional variance
-of X, which the banded product identity
+of X, given for any chaos orders by the product formula for multiple
+Wiener integrals,
+
+    pi_t = sum_{i,j} c_i c_j sum_{k=1..min(n_i,n_j)} (g_ij^k / k!)
+               X_t^(n_i-k)(phi_i) X_t^(n_j-k)(phi_j),
+    g_ij = int_t^inf phi_i phi_j.
+
+Bond prices P(t, T) = E_t[pi_T] / pi_t take the same double sum with
+g_ij(T) in place of g_ij, and each chaos product projected back from T to t
+by the banded identity
 
     E_t[X_T^(a)(phi_i) X_T^(b)(phi_j)]
         = sum_{m=0..min(a,b)} (h_ij^m / m!) X_t^(a-m)(phi_i) X_t^(b-m)(phi_j),
-    h_ij = int_t^T phi_i phi_j,
+    h_ij = int_t^T phi_i phi_j.
 
-turns into finite double sums over terms.  Bond prices follow by applying
-the identity twice: once on (T, inf) to expand pi_T, once on (t, T) to
-project the time-T chaos products back to time t.
-
-The equal-order kernel uses the corrected per-term coefficients
-(residual products g_ij^k / k!, no extra diagonal factor), and the mixed
-first-plus-nth kernel uses (1 - Q)^k / k! weights; both choices are the
-unique ones consistent with the conditional isometry and are validated
-against the Monte Carlo conditional-variance oracle in the test suite.
+With equal orders the formula is the equal-order kernel, and with orders
+{1, n} the diagonal of the order-n term carries the (1 - Q)^k / k! weights;
+both are validated against the Monte Carlo conditional-variance oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -132,67 +136,6 @@ def multi_state_at(model: IncoherentModel, t: float, values) -> MultiGaussianSta
     return MultiGaussianState(t=t, values=values, brackets=brackets, residual_gram=gram)
 
 
-def _term_chaos(state: MultiGaussianState, top: int) -> list:
-    # one chaos_values pass per term: X^(0..top) at each term's state
-    return [chaos_values(top, r, q) for r, q in zip(state.values, state.brackets)]
-
-
-def _equal_order_kernel(model: IncoherentModel, n: int, gram, xs) -> float:
-    total = 0.0
-    for i, ti in enumerate(model.terms):
-        for j, tj in enumerate(model.terms):
-            g = gram[i][j]
-            inner = sum(
-                g**k / math.factorial(k) * xs[i][n - k] * xs[j][n - k]
-                for k in range(1, n + 1)
-            )
-            total += ti.weight * tj.weight * inner
-    return total
-
-
-def incoherent_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
-    """Conditional variance of X when all terms share one chaos order n:
-
-        pi_t = sum_{i,j} c_i c_j sum_{k=1..n} (g_ij^k / k!)
-                   X_t^(n-k)(phi_i) X_t^(n-k)(phi_j).
-    """
-    orders = set(model.orders)
-    if len(orders) != 1:
-        raise ValueError("terms have mixed chaos orders; use mixed_order_kernel for the 1-plus-n shape")
-    n = orders.pop()
-    return _equal_order_kernel(model, n, state.residual_gram, _term_chaos(state, n - 1))
-
-
-def _split_mixed(model: IncoherentModel):
-    if len(model.terms) != 2 or 1 not in model.orders:
-        raise ValueError(
-            "mixed-order kernels support exactly two terms with orders {1, n}; "
-            f"got orders {model.orders}"
-        )
-    first = 0 if model.terms[0].order == 1 else 1
-    return model.terms[first], model.terms[1 - first], first
-
-
-def _mixed_kernel(model: IncoherentModel, state: MultiGaussianState, x2) -> float:
-    # x2 = X^(0..n-1) of the order-n term at its state
-    lin, high, i1 = _split_mixed(model)
-    i2 = 1 - i1
-    n = high.order
-    q1, q2 = state.brackets[i1], state.brackets[i2]
-    g12 = state.residual_gram[i1][i2]
-    diag = sum((1.0 - q2) ** k / math.factorial(k) * x2[n - k] ** 2 for k in range(1, n + 1))
-    cross = 2.0 * lin.weight * high.weight * g12 * x2[n - 1]
-    return lin.weight**2 * (1.0 - q1) + high.weight**2 * diag + cross
-
-
-def mixed_order_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
-    """Conditional variance for X = c1 X^(1)(phi_1) + c2 X^(n)(phi_2)."""
-    lin, high, i1 = _split_mixed(model)
-    i2 = 1 - i1
-    x2 = chaos_values(high.order - 1, state.values[i2], state.brackets[i2])
-    return _mixed_kernel(model, state, x2)
-
-
 def _banded_projection(h: float, a: int, b: int, xi, xj) -> float:
     # E_t of the product of window-a and window-b chaos components at T,
     # from the time-t chaos lists xi = X^(0..a)(phi_i), xj = X^(0..b)(phi_j)
@@ -202,41 +145,61 @@ def _banded_projection(h: float, a: int, b: int, xi, xj) -> float:
     return out
 
 
+def _kernel_and_numerator(model: IncoherentModel, state: MultiGaussianState, maturity=None) -> tuple:
+    """(e, pi_t, E_t[pi_T]) by the product formula, for any chaos orders.
+
+    Both sums use the weights c_i 2^-e, with 2^(e-1) <= max |c_i| < 2^e, so
+    they are pi_t and E_t[pi_T] times 4^-e, exactly, since the scale is a
+    power of two; the largest products c_i c_j then neither overflow nor
+    underflow, however large or small the weights.  Pairs i < j are counted
+    twice.  The numerator is computed only when a maturity is given (else
+    it is 0).
+    """
+    terms = model.terms
+    e = math.frexp(max(abs(term.weight) for term in terms))[1]
+    c = [math.ldexp(term.weight, -e) for term in terms]
+    xs = [chaos_values(term.order - 1, r, q) for term, r, q in zip(terms, state.values, state.brackets)]
+    pi_t = numer = 0.0
+    for i, ti in enumerate(terms):
+        for j in range(i, len(terms)):
+            tj = terms[j]
+            g = state.residual_gram[i][j]
+            if maturity is not None:
+                g_T = residual_inner_product(ti.sf, tj.sf, maturity)
+            kernel = projected = 0.0
+            for k in range(1, min(ti.order, tj.order) + 1):
+                a, b = ti.order - k, tj.order - k
+                kernel += g**k / math.factorial(k) * xs[i][a] * xs[j][b]
+                if maturity is not None:
+                    projected += g_T**k / math.factorial(k) * _banded_projection(g - g_T, a, b, xs[i], xs[j])
+            scale = (1.0 if i == j else 2.0) * c[i] * c[j]
+            pi_t += scale * kernel
+            numer += scale * projected
+    return e, pi_t, numer
+
+
+def incoherent_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
+    """Conditional variance pi_t of X, for any chaos orders:
+
+        pi_t = sum_{i,j} c_i c_j sum_{k=1..min(n_i,n_j)} (g_ij^k / k!)
+                   X_t^(n_i-k)(phi_i) X_t^(n_j-k)(phi_j).
+
+    Raises OverflowError when pi_t lies beyond the float range.
+    """
+    e, pi_t, _ = _kernel_and_numerator(model, state)
+    return math.ldexp(pi_t, 2 * e)
+
+
+def mixed_order_kernel(model: IncoherentModel, state: MultiGaussianState) -> float:
+    """The same kernel as incoherent_kernel, under its older name."""
+    return incoherent_kernel(model, state)
+
+
 def incoherent_bond_price(model: IncoherentModel, state: MultiGaussianState, maturity: float) -> float:
-    """P(t, T) = E_t[pi_T] / pi_t for equal-order or 1-plus-n models."""
+    """P(t, T) = E_t[pi_T] / pi_t, for any chaos orders."""
     if maturity < state.t:
         raise ValueError(f"maturity {maturity} precedes state time {state.t}")
-    orders = set(model.orders)
-    terms = model.terms
-    if len(orders) == 1:
-        n = orders.pop()
-        xs = _term_chaos(state, n - 1)
-        pi_t = _equal_order_kernel(model, n, state.residual_gram, xs)
-        numer = 0.0
-        for i, ti in enumerate(terms):
-            for j, tj in enumerate(terms):
-                g_T = residual_inner_product(ti.sf, tj.sf, maturity)
-                h = state.residual_gram[i][j] - g_T
-                inner = 0.0
-                for k in range(1, n + 1):
-                    inner += g_T**k / math.factorial(k) * _banded_projection(h, n - k, n - k, xs[i], xs[j])
-                numer += ti.weight * tj.weight * inner
-    else:
-        lin, high, i1 = _split_mixed(model)
-        i2 = 1 - i1
-        n = high.order
-        x2 = chaos_values(n - 1, state.values[i2], state.brackets[i2])
-        pi_t = _mixed_kernel(model, state, x2)
-        q1_T = lin.sf.q_at(maturity)
-        q2_T = high.sf.q_at(maturity)
-        h22 = state.residual_gram[i2][i2] - residual_inner_product(high.sf, high.sf, maturity)
-        diag = sum(
-            (1.0 - q2_T) ** k / math.factorial(k) * _banded_projection(h22, n - k, n - k, x2, x2)
-            for k in range(1, n + 1)
-        )
-        g12_T = residual_inner_product(lin.sf, high.sf, maturity)
-        cross = 2.0 * lin.weight * high.weight * g12_T * x2[n - 1]
-        numer = lin.weight**2 * (1.0 - q1_T) + high.weight**2 * diag + cross
+    _, pi_t, numer = _kernel_and_numerator(model, state, maturity)
     if pi_t <= 0:
         raise ValueError("pricing kernel is not positive at this state; bond price undefined")
     return numer / pi_t

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import CoherentModel, chaos_polynomial, kernel_coefficient
+from .coherent_model import CoherentModel, even_chaos_polynomial, kernel_coefficient
 from .special_functions import RealPolynomial, gaussian_partial_moments
 from .structure_functions import check_finite
 
@@ -201,12 +201,11 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
     if q_t == 0:
         raise ValueError("no variance accrues by option expiry; the payoff is deterministic")
     n = model.n
-    acc = RealPolynomial((0.0,))
-    for k in range(1, n + 1):
-        c = float(kernel_coefficient(n, k)) * ((1.0 - q_T**k) - spec.strike * (1.0 - q_t**k))
-        if c != 0.0:
-            acc = acc + c * chaos_polynomial(2 * n - 2 * k, q_t)
-    return acc.scale_argument(math.sqrt(q_t))
+    coeffs = [
+        float(kernel_coefficient(n, k)) * ((1.0 - q_T**k) - spec.strike * (1.0 - q_t**k))
+        for k in range(1, n + 1)
+    ]
+    return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
@@ -240,11 +239,8 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
             raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     # dQ_T/dP(0,T) = -1 / (n Q_T^(n-1)); chain rule through each coefficient
     denom = n * q_T ** (n - 1)
-    sens = RealPolynomial((0.0,))
-    for k in range(1, n + 1):
-        s = float(kernel_coefficient(n, k)) * k * q_T ** (k - 1) / denom
-        sens = sens + s * chaos_polynomial(2 * n - 2 * k, q_t)
-    sens = sens.scale_argument(math.sqrt(q_t))
+    coeffs = [float(kernel_coefficient(n, k)) * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
+    sens = even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
     val = 0.0
     for lo, hi in res.positive_intervals:
         moments = gaussian_partial_moments(sens.degree, lo, hi)
@@ -260,14 +256,11 @@ def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> Real
     n = model.n
     q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
     q_last = q_pay[-1]
-    acc = RealPolynomial((0.0,))
-    for k in range(1, n + 1):
-        c = float(kernel_coefficient(n, k)) * (
-            (q_last**k - q_t**k) - spec.strike * sum(1.0 - q**k for q in q_pay)
-        )
-        if c != 0.0:
-            acc = acc + c * chaos_polynomial(2 * n - 2 * k, q_t)
-    return acc.scale_argument(math.sqrt(q_t))
+    coeffs = [
+        float(kernel_coefficient(n, k)) * ((q_last**k - q_t**k) - spec.strike * sum(1.0 - q**k for q in q_pay))
+        for k in range(1, n + 1)
+    ]
+    return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
 
 
 def price_swaption(model: CoherentModel, spec: SwaptionSpec) -> float:

@@ -239,14 +239,19 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     products h.  g^s - h^s is summed as g_T sum_k g^k h^(s-1-k), free of
     cancellation when T is far.  Returns (constant, products) divided by
     pi_0: products holds (coefficient, i, a, j, b) for X_i^(a) X_j^(b) with
-    a <= b, pairs i < j counted twice, and a = 0 meaning X^(0) = 1.
+    a <= b, pairs i < j counted twice, and a = 0 meaning X^(0) = 1.  The
+    weights are scaled by a power of two to max |c_i| in [1/2, 1), which
+    cancels exactly in the ratio and keeps the largest c_i c_j from
+    overflowing or underflowing.
     """
     terms = model.terms
+    e = math.frexp(max(abs(term.weight) for term in terms))[1]
+    c = [math.ldexp(term.weight, -e) for term in terms]
     grams = [residual_gram_matrix(model, T) for T, _ in legs]
     gram_t, gram_0 = residual_gram_matrix(model, t), residual_gram_matrix(model, 0.0)
     # at t = 0 every X^(m >= 1) vanishes: only s = n_i = n_j survives
     pi_0 = sum(
-        ti.weight * tj.weight * gram_0[i, j] ** ti.order / math.factorial(ti.order)
+        c[i] * c[j] * gram_0[i, j] ** ti.order / math.factorial(ti.order)
         for i, ti in enumerate(terms)
         for j, tj in enumerate(terms)
         if ti.order == tj.order
@@ -258,7 +263,7 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
         for j in range(i, len(terms)):
             tj = terms[j]
             g = gram_t[i, j]
-            scale = (1.0 if i == j else 2.0) * ti.weight * tj.weight / pi_0
+            scale = (1.0 if i == j else 2.0) * c[i] * c[j] / pi_0
             for s in range(1, min(ti.order, tj.order) + 1):
                 value = weight * g**s
                 for (_, leg_weight), gram_T in zip(legs, grams):

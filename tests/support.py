@@ -1,6 +1,6 @@
 """Shared test helpers."""
 
-from chaosrates import StructureFunction
+from chaosrates import RealPolynomial, StructureFunction, chaos_polynomial
 
 
 class LookupBracket(StructureFunction):
@@ -20,3 +20,12 @@ class LookupBracket(StructureFunction):
 
     def squared_density(self, t: float) -> float:
         return 0.0
+
+
+def per_k_chaos_sum(n, coeffs, q):
+    """sum_k coeffs[k-1] X^(2n-2k) added up one chaos_polynomial at a time."""
+    acc = RealPolynomial((0.0,))
+    for k, c in enumerate(coeffs, 1):
+        if c != 0.0:
+            acc = acc + c * chaos_polynomial(2 * n - 2 * k, q)
+    return acc

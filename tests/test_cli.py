@@ -97,6 +97,21 @@ class TestCurve:
         assert rows[0][1] == pytest.approx(1.0, rel=1e-14)
         assert rows[1][1] < rows[0][1]
 
+    def test_incoherent_orders_two_and_three(self, capsys):
+        model = json.dumps(
+            {
+                "terms": [
+                    {"c": 0.8, "n": 2, "sf": {"family": "exponential", "lambda": 0.5}},
+                    {"c": 0.5, "n": 3, "sf": {"family": "exponential", "lambda": 1.2}},
+                ]
+            }
+        )
+        code, out, _ = run(capsys, "curve", "--model", model, "--grid", "0:10:21")
+        assert code == 0
+        prices = [p for _, p in csv_rows(out)]
+        assert prices[0] == 1.0
+        assert all(a >= b for a, b in zip(prices, prices[1:]))
+
     def test_malformed_model(self, capsys):
         code, _, err = run(capsys, "curve", "--model", "{not json")
         assert code == 2
@@ -236,12 +251,47 @@ class TestBadInput:
         assert "payment_dates" in err
 
     def test_curve_failing_past_the_header_prints_nothing(self, capsys):
-        # orders (2, 3) have no closed-form curve; the error used to follow
+        # cancelling terms leave no positive kernel; the error used to follow
         # a printed maturity,price header
         sf = {"family": "exponential", "lambda": 0.7}
-        model = json.dumps({"terms": [{"c": 1.0, "n": 2, "sf": sf}, {"c": 0.5, "n": 3, "sf": sf}]})
+        model = json.dumps({"terms": [{"c": 1.0, "n": 2, "sf": sf}, {"c": -1.0, "n": 2, "sf": sf}]})
         code, out, _ = run(capsys, "curve", "--model", model)
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3", "0:nan:3", "0:1e308:3", "-inf:1:3"])
+    def test_non_finite_grid(self, capsys, grid):
+        code, out, err = run(capsys, "curve", "--model", EXP_MODEL, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert "grid" in err
+
+    @pytest.mark.parametrize("weight", [2.0**600, 2.0**-600])
+    def test_extreme_weights_price_like_unit_weights(self, capsys, weight):
+        # every price is invariant under a common scale of the weights, and
+        # a power-of-two scale leaves every digit unchanged, though c_i c_j
+        # overflows or underflows
+        def model(c):
+            sf = {"family": "exponential", "lambda": 0.7}
+            return json.dumps({"terms": [{"c": c, "n": 2, "sf": sf}, {"c": 0.5 * c, "n": 3, "sf": sf}]})
+
+        curves = [run(capsys, "curve", "--model", model(c), "--grid", "0:5:6") for c in (weight, 1.0)]
+        assert curves[0] == curves[1]
+        assert curves[0][0] == 0
+        argv = ("price", "call", "--spec", CALL_SPEC, "--method", "mc", "--samples", "2000")
+        prices = [run(capsys, *argv, "--model", model(c)) for c in (weight, 1.0)]
+        assert prices[0] == prices[1]
+        assert prices[0][0] == 0
+
+    @pytest.mark.parametrize("weight", [1e200, 1e-200])
+    def test_extreme_weights_print_finite_values(self, capsys, weight):
+        sf = {"family": "exponential", "lambda": 0.7}
+        model = json.dumps({"terms": [{"c": weight, "n": 2, "sf": sf}, {"c": weight, "n": 3, "sf": sf}]})
+        code, out, _ = run(capsys, "curve", "--model", model, "--grid", "0:5:6")
+        assert code == 0
+        assert all(math.isfinite(p) and 0.0 < p <= 1.0 for _, p in csv_rows(out))
+        argv = ("price", "call", "--spec", CALL_SPEC, "--method", "mc", "--samples", "2000")
+        code, out, _ = run(capsys, *argv, "--model", model)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["price"])
 
     def test_null_strike(self, capsys):
         spec = '{"option_maturity": 1.0, "bond_maturity": 2.0, "strike": null}'
@@ -366,3 +416,17 @@ class TestCalibrate:
 def test_no_command_is_a_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # the parser is built once per process; each call still parses afresh
+    mc = ("price", "call", "--model", EXP_MODEL, "--spec", CALL_SPEC, "--method", "mc", "--samples", "500", "--seed", "3")
+    code, out, _ = run(capsys, *mc)
+    assert code == 0 and json.loads(out)["method"] == "mc"
+    code, out, _ = run(capsys, "price", "call", "--model", EXP_MODEL, "--spec", CALL_SPEC)
+    assert code == 0 and json.loads(out)["method"] == "analytic"
+    code, out, _ = run(capsys, "curve", "--model", EXP_MODEL, "--grid", "0:1:3")
+    assert code == 0 and len(csv_rows(out)) == 3
+    code, out, _ = run(capsys, "curve", "--model", EXP_MODEL)
+    assert code == 0 and len(csv_rows(out)) == 121
+    assert run(capsys, *mc) == run(capsys, *mc)

@@ -16,6 +16,7 @@ from chaosrates import (
     chaos_polynomial,
     chaos_value,
     chaos_values,
+    even_chaos_polynomial,
     hermite,
     initial_bond_price,
     kernel_coefficient,
@@ -26,6 +27,7 @@ from chaosrates import (
     state_at,
 )
 from chaosrates.coherent_model import _chaos_terms, from_descriptor, rate_coefficient, to_descriptor
+from support import per_k_chaos_sum
 
 SF = ExponentialDensity(0.1)
 
@@ -166,6 +168,24 @@ def test_kernel_polynomial_degree_and_value():
         model = CoherentModel(n, SF)
         state = GaussianState(1.0, -0.9, 0.4)
         assert poly(-0.9) == pytest.approx(pricing_kernel(model, state).pi, rel=1e-12)
+
+
+@given(
+    st.integers(1, 16),
+    st.lists(st.floats(-1e3, 1e3) | st.just(0.0), min_size=16, max_size=16),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=200)
+def test_even_chaos_polynomial_equals_per_k_sum_exactly(n, coeffs, q):
+    assert even_chaos_polynomial(n, coeffs[:n], q).coeffs == per_k_chaos_sum(n, coeffs[:n], q).coeffs
+
+
+@given(st.integers(1, 16), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_kernel_polynomial_equals_per_k_sum_exactly(n, q_state, gap):
+    q_maturity = q_state + gap * (1.0 - q_state)
+    coeffs = [float(kernel_coefficient(n, k)) * (1.0 - q_maturity**k) for k in range(1, n + 1)]
+    assert kernel_polynomial(n, q_state, q_maturity).coeffs == per_k_chaos_sum(n, coeffs, q_state).coeffs
 
 
 @given(st.integers(1, 5), st.floats(-2.5, 2.5), st.floats(0.0, 0.99))

@@ -181,23 +181,6 @@ class TestSingleTermCollapse:
 
 
 class TestKernels:
-    def test_wrong_kernel_for_shape(self):
-        st_eq = multi_state_at(EQUAL_ORDER, 1.0, (0.3, -0.4))
-        st_mx = multi_state_at(MIXED, 1.0, (0.3, -0.4))
-        with pytest.raises(ValueError):
-            incoherent_kernel(MIXED, st_mx)
-        with pytest.raises(ValueError):
-            mixed_order_kernel(EQUAL_ORDER, st_eq)
-        three = IncoherentModel(
-            (
-                IncoherentTerm(1.0, 1, SF),
-                IncoherentTerm(1.0, 2, SF),
-                IncoherentTerm(1.0, 3, SF),
-            )
-        )
-        with pytest.raises(ValueError):
-            mixed_order_kernel(three, multi_state_at(three, 1.0, (0.0, 0.0, 0.0)))
-
     def test_mixed_initial_kernel_value_is_exact(self):
         # unit weights: variance of X^(1) + X^(n) is 1 + 1/n!
         for n in (2, 3, 4):
@@ -287,6 +270,49 @@ class TestMonteCarloAgreement:
             x_t = chaos_values(max(a, b), r_t, q_t)
             closed = _banded_projection(h, a, b, x_t, x_t)
             assert abs(mc - closed) <= 4.0 * se
+
+
+ORDERS_2_3 = IncoherentModel(
+    (
+        IncoherentTerm(0.8, 2, ExponentialDensity(0.5)),
+        IncoherentTerm(0.5, 3, ExponentialDensity(1.2)),
+    )
+)
+
+ORDERS_1_2_4 = IncoherentModel(
+    (
+        IncoherentTerm(0.6, 1, ExponentialDensity(0.9)),
+        IncoherentTerm(-0.4, 2, ExponentialDensity(0.3)),
+        IncoherentTerm(0.7, 4, ExponentialDensity(1.5)),
+    )
+)
+
+
+class TestGeneralOrders:
+    """Orders outside the equal and 1-plus-n shapes price in closed form."""
+
+    @pytest.mark.parametrize(
+        "model, t, seed", [(ORDERS_2_3, 0.9, 41), (ORDERS_1_2_4, 0.7, 42)], ids=["orders-2-3", "orders-1-2-4"]
+    )
+    def test_kernel_against_conditional_variance(self, model, t, seed):
+        vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+        values = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ np.random.default_rng(seed).standard_normal(len(vals))
+        state = multi_state_at(model, t, values)
+        closed = incoherent_kernel(model, state)
+        est, se = mc_conditional_variance(model, state, 400_000, seed)
+        assert abs(est - closed) <= 4.0 * se
+
+    @pytest.mark.parametrize("model", [ORDERS_2_3, ORDERS_1_2_4], ids=["orders-2-3", "orders-1-2-4"])
+    @pytest.mark.parametrize("maturity", [1.5, 4.0])
+    def test_initial_bond_against_mc(self, model, maturity):
+        zero = multi_state_at(model, 0.0, (0.0,) * len(model.terms))
+        closed = incoherent_bond_price(model, zero, maturity)
+        est, se = mc_price(model, BondSpec(maturity), 400_000, 43)
+        assert abs(est - closed) <= 4.0 * se
+
+    def test_old_name_gives_the_same_kernel(self):
+        state = multi_state_at(ORDERS_2_3, 0.9, (0.2, -0.3))
+        assert mixed_order_kernel(ORDERS_2_3, state) == incoherent_kernel(ORDERS_2_3, state)
 
 
 class TestBondPrices:

@@ -21,6 +21,8 @@ from chaosrates import (
     quadrature_price,
     swaption_payoff_polynomial,
 )
+from chaosrates.coherent_model import kernel_coefficient
+from chaosrates.special_functions import gaussian_partial_moments
 from closed_form_cases import (
     biquadratic_positive_part,
     call_biquadratic_coefficients,
@@ -28,7 +30,7 @@ from closed_form_cases import (
     quadratic_positive_part,
     swaption_quadratic_coefficients,
 )
-from support import LookupBracket
+from support import LookupBracket, per_k_chaos_sum
 
 
 def call_model(n, q_t, q_T):
@@ -338,6 +340,62 @@ class TestCallDelta:
         up = price_bond_call(call_model(3, 0.25, (1 - (p0T + h)) ** (1 / 3)), spec)
         dn = price_bond_call(call_model(3, 0.25, (1 - (p0T - h)) ** (1 / 3)), spec)
         assert delta == pytest.approx((up - dn) / (2 * h), abs=1e-3)
+
+
+class TestPayoffBuildersMatchPerKSums:
+    """Each builder equals, bit for bit, its payoff added up one
+    chaos_polynomial per k, so every analytic price and delta is the one a
+    per-k accumulation gives."""
+
+    @staticmethod
+    def _weights(n):
+        return [float(kernel_coefficient(n, k)) for k in range(1, n + 1)]
+
+    @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+    @settings(max_examples=100, deadline=None)
+    def test_call_payoff_and_delta(self, n, q_t, frac, strike):
+        q_T = q_t + frac * (1.0 - q_t)
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        w = self._weights(n)
+        coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
+        payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
+        assert call_payoff_polynomial(model, spec).coeffs == payoff.coeffs
+        try:
+            delta = call_delta(model, spec)
+        except ValueError as e:  # a payoff root at the origin
+            assert "degenerate" in str(e)
+            return
+        denom = n * q_T ** (n - 1)
+        sens_coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
+        sens = per_k_chaos_sum(n, sens_coeffs, q_t).scale_argument(math.sqrt(q_t))
+        want = 0.0
+        for lo, hi in expected_positive_part(payoff).positive_intervals:
+            moments = gaussian_partial_moments(sens.degree, lo, hi)
+            want += sum(c * m for c, m in zip(sens.coeffs, moments))
+        assert delta == math.factorial(n) * want
+
+    @given(
+        st.integers(1, 16),
+        st.floats(0.01, 0.9),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+        st.floats(0.0, 0.2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_swaption_payoff(self, n, q_t, steps, strike):
+        q_pay, q = [], q_t
+        for step in steps:
+            q = q + step * (1.0 - q) / 2.0
+            q_pay.append(q)
+        dates = tuple(2.0 + i for i in range(len(q_pay)))
+        model = CoherentModel(n, LookupBracket({1.0: q_t, **dict(zip(dates, q_pay))}))
+        spec = SwaptionSpec(1.0, dates, strike)
+        w = self._weights(n)
+        coeffs = [
+            w[k - 1] * ((q_pay[-1] ** k - q_t**k) - strike * sum(1.0 - x**k for x in q_pay))
+            for k in range(1, n + 1)
+        ]
+        payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
+        assert swaption_payoff_polynomial(model, spec).coeffs == payoff.coeffs
 
 
 def swaption_model(q_t, q_pay):
