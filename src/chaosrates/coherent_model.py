@@ -170,6 +170,12 @@ def _kernel_weights(n: int) -> tuple:
     return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _rate_weights(n: int) -> tuple:
+    # float k w_k, k = 1 .. n, of the order-n short-rate sum
+    return tuple(float(rate_coefficient(n, k)) for k in range(1, n + 1))
+
+
 def even_chaos_polynomial(n: int, coeffs, q: float) -> RealPolynomial:
     """sum_{k=1..n} coeffs[k-1] X^(2n-2k) as one polynomial in R, bracket q frozen.
 
@@ -252,9 +258,10 @@ def short_rate(model: CoherentModel, state: GaussianState) -> float:
     xs = chaos_values(2 * n - 2, state.R, state.Q)
     pi = _positive_kernel(n, xs, state.Q, "short rate")
     q = float(state.Q)
+    w = _rate_weights(n)
     acc = 0.0
     for k in range(1, n + 1):
-        acc += float(rate_coefficient(n, k)) * q ** (k - 1) * xs[2 * n - 2 * k]
+        acc += w[k - 1] * q ** (k - 1) * xs[2 * n - 2 * k]
     return dens * acc / pi
 
 
@@ -268,9 +275,10 @@ def risk_premium(model: CoherentModel, state: GaussianState) -> float:
     n = model.n
     xs = chaos_values(2 * n - 2, state.R, state.Q)
     pi = _positive_kernel(n, xs, state.Q, "risk premium")
+    w = _kernel_weights(n)
     acc = 0.0
     for k in range(1, n):  # the k = n term multiplies X^(-1) = 0
-        acc += float(kernel_coefficient(n, k)) * (1.0 - state.Q**k) * xs[2 * n - 2 * k - 1]
+        acc += w[k - 1] * (1.0 - state.Q**k) * xs[2 * n - 2 * k - 1]
     return -math.sqrt(dens) * acc / pi
 
 

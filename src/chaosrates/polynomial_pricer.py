@@ -5,20 +5,35 @@ normal and p a polynomial of degree 2n - 2.  The expectation is evaluated
 exactly: isolate the real roots of p, certify the sign of p between
 consecutive roots, then sum truncated Gaussian moments over the intervals
 where p is positive.
+
+The kernel is a sum of even chaoses, so every coherent payoff is even in z:
+p(z) = P(z^2) with P of degree n - 1.  Root isolation uses this whenever
+every odd coefficient is exactly zero: it finds the real roots y of P and
+maps each y > 0 to the pair +-sqrt(y), so the companion matrix is of
+degree n - 1, not 2n - 2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import CoherentModel, even_chaos_polynomial, kernel_coefficient
+from .coherent_model import CoherentModel, _kernel_weights, even_chaos_polynomial
 from .special_functions import RealPolynomial, gaussian_partial_moments
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
+
+# Newton stops once |p(x)| is within this multiple of sum |c_k| |x|^k, the
+# rounding floor of evaluating p at x: further steps only wander in noise
+_ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
+
+# the standard normal density underflows to zero beyond |z| ~ 38.6, so a
+# term of p too small to move it anywhere on |z| <= 40 cannot move a price
+_DENSITY_REACH = 40.0
 
 
 @dataclass(frozen=True)
@@ -101,6 +116,7 @@ def _stable_quadratic_roots(c0: float, c1: float, c2: float) -> list:
 
 def _newton_polish(p: RealPolynomial, x: float) -> float:
     dp = p.derivative()
+    size = RealPolynomial([abs(c) for c in p.coeffs])
     for _ in range(40):
         fx = p(x)
         dfx = dp(x)
@@ -109,7 +125,9 @@ def _newton_polish(p: RealPolynomial, x: float) -> float:
         nxt = x - fx / dfx
         if not math.isfinite(nxt):
             break
-        if abs(nxt - x) <= 1e-15 * max(1.0, abs(nxt)):
+        # the step from a point at the floor is still taken: it costs no
+        # evaluation, and it lands at the root when x was merely close
+        if abs(nxt - x) <= 1e-15 * max(1.0, abs(nxt)) or abs(fx) <= _ROUNDING_FLOOR * size(abs(x)):
             return nxt
         x = nxt
     return x
@@ -129,10 +147,11 @@ def _real_roots(p: RealPolynomial) -> list:
         return [-c[0] / c[1]]
     if deg == 2:
         return _stable_quadratic_roots(c[0], c[1], c[2])
-    if deg == 4 and c[1] == 0.0 and c[3] == 0.0:
-        # biquadratic: solve for y = z^2, then take symmetric square roots
+    if not any(c[1::2]):
+        # even: p(z) = P(z^2), so solve P at half the degree, then take
+        # symmetric square roots of its nonnegative roots
         roots = []
-        for y in _stable_quadratic_roots(c[0], c[2], c[4]):
+        for y in _real_roots(RealPolynomial(c[::2])):
             if y > 0:
                 z = math.sqrt(y)
                 roots.extend([-z, z])
@@ -156,6 +175,25 @@ def _real_roots(p: RealPolynomial) -> list:
     return deduped
 
 
+def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
+    """p without the leading terms below the rounding floor of the rest on
+    |z| <= _DENSITY_REACH.
+
+    Such a term (an expiry so close that Q_t ** (n - 1) underflows leaves a
+    subnormal leading coefficient) moves p by less than its rounding error
+    wherever the density is nonzero, so it only adds roots beyond that
+    range; dividing by it fills the companion matrix with infinities.  Each
+    term's share of the rest grows with |z|, so checking at the reach checks
+    the whole range.  Only the roots are found from this part; signs and
+    moments use every coefficient of p.
+    """
+    terms = [abs(c) * _DENSITY_REACH**k for k, c in enumerate(p.coeffs)]
+    deg = len(terms) - 1
+    while deg > 0 and terms[deg] < sys.float_info.epsilon * sum(terms[:deg]):
+        deg -= 1
+    return p if deg == p.degree else RealPolynomial(p.coeffs[: deg + 1])
+
+
 def _interior_point(lo: float, hi: float) -> float:
     if lo == -math.inf and hi == math.inf:
         return 0.0
@@ -172,7 +210,7 @@ def expected_positive_part(p: RealPolynomial) -> PositivePartResult:
         raise ValueError(f"polynomial degree {p.degree} exceeds the supported maximum {MAX_DEGREE}")
     if p.is_zero:
         return PositivePartResult(0.0, p, (), ())
-    roots = _real_roots(p)
+    roots = _real_roots(_root_finding_part(p))
     cuts = [-math.inf] + roots + [math.inf]
     intervals = tuple(
         (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if p(_interior_point(lo, hi)) > 0
@@ -201,10 +239,8 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
     if q_t == 0:
         raise ValueError("no variance accrues by option expiry; the payoff is deterministic")
     n = model.n
-    coeffs = [
-        float(kernel_coefficient(n, k)) * ((1.0 - q_T**k) - spec.strike * (1.0 - q_t**k))
-        for k in range(1, n + 1)
-    ]
+    w = _kernel_weights(n)
+    coeffs = [w[k - 1] * ((1.0 - q_T**k) - spec.strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
     return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
 
 
@@ -239,7 +275,8 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
             raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     # dQ_T/dP(0,T) = -1 / (n Q_T^(n-1)); chain rule through each coefficient
     denom = n * q_T ** (n - 1)
-    coeffs = [float(kernel_coefficient(n, k)) * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
+    w = _kernel_weights(n)
+    coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
     sens = even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
     val = 0.0
     for lo, hi in res.positive_intervals:
@@ -256,8 +293,9 @@ def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> Real
     n = model.n
     q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
     q_last = q_pay[-1]
+    w = _kernel_weights(n)
     coeffs = [
-        float(kernel_coefficient(n, k)) * ((q_last**k - q_t**k) - spec.strike * sum(1.0 - q**k for q in q_pay))
+        w[k - 1] * ((q_last**k - q_t**k) - spec.strike * sum(1.0 - q**k for q in q_pay))
         for k in range(1, n + 1)
     ]
     return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))

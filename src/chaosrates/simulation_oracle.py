@@ -122,9 +122,16 @@ def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
     def integrand(z):
         return np.maximum(payoff_polynomial(z), 0.0) * norm * np.exp(-0.5 * z * z)
 
+    # leading terms below eps of the largest term anywhere on |z| <= 12 cannot
+    # move a cut inside the range; np.roots would divide by them (a subnormal
+    # leading coefficient at a near-zero expiry fills its matrix with inf)
+    coeffs = list(payoff_polynomial.coeffs)
+    reach = [abs(c) * 12.0**k for k, c in enumerate(coeffs)]
+    while len(coeffs) > 1 and reach[len(coeffs) - 1] < np.finfo(float).eps * max(reach):
+        coeffs.pop()
     cuts = [-12.0, 12.0]
-    if payoff_polynomial.degree > 0:
-        for root in np.roots(payoff_polynomial.coeffs[::-1]):
+    if len(coeffs) > 1:
+        for root in np.roots(coeffs[::-1]):
             if abs(root.imag) < 1e-9 and -12.0 < root.real < 12.0:
                 cuts.append(float(root.real))
     cuts.sort()

@@ -18,6 +18,7 @@ descriptor path for atoms is stricter: weights must sum to 1 within 1e-9.
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -75,6 +76,9 @@ class ExponentialDensity(StructureFunction):
         return -math.expm1(-self.rate * t)
 
     def squared_density(self, t):
+        if isinstance(t, float):
+            # numpy's exp, not math.exp, so a scalar reads as the array path
+            return self.rate * float(np.exp(-self.rate * t)) if t >= 0 else 0.0
         t = np.asarray(t, dtype=float)
         out = np.where(t >= 0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
         return out if out.ndim else float(out)
@@ -126,6 +130,9 @@ class PiecewiseConstantDensity(StructureFunction):
         return min(acc, 1.0)
 
     def squared_density(self, t):
+        if isinstance(t, float):
+            idx = bisect.bisect_right(self.breaks, t)
+            return self.values[idx] if t >= 0 and idx < len(self.breaks) else 0.0
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(np.asarray(self.breaks), t, side="right")
         vals = np.asarray(self.values + (0.0,))
@@ -177,6 +184,8 @@ class DiscreteAtoms(StructureFunction):
     def squared_density(self, t):
         # distributional density; between atoms (and, by convention, at them)
         # the pointwise value used by short-rate formulas is zero
+        if isinstance(t, float):
+            return 0.0
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         return out if out.ndim else 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -161,6 +162,18 @@ class TestPrice:
         closed = price_bond_call(model, OptionSpec(1.0, 2.0, 0.6))
         assert payload["stderr"] > 0.0
         assert abs(payload["price"] - closed) <= 4.0 * payload["stderr"]
+
+    @pytest.mark.parametrize("method,tol", [("analytic", 1e-12), ("quadrature", 1e-8)])
+    def test_call_at_a_near_zero_expiry(self, capsys, method, tol):
+        # the payoff's leading coefficient underflows to a subnormal
+        model = '{"n": 5, "sf": {"family": "exponential", "lambda": 0.1}}'
+        spec = '{"option_maturity": 1e-79, "bond_maturity": 5.0, "strike": 0.35}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "price", "call", "--model", model, "--spec", spec, "--method", method)
+        assert (code, err) == (0, "")
+        intrinsic = (1.0 - ExponentialDensity(0.1).q_at(5.0) ** 5) - 0.35
+        assert json.loads(out)["price"] == pytest.approx(intrinsic, abs=tol)
 
     def test_swaption_analytic(self, capsys):
         spec = '{"option_maturity": 1.0, "payment_dates": [2.0, 3.0, 4.0], "strike": 0.05}'

@@ -2,26 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaosrates import (
     BondSpec,
     CoherentModel,
+    DiscreteAtoms,
     ExponentialDensity,
     OptionSpec,
+    PiecewiseConstantDensity,
     RealPolynomial,
     SwaptionSpec,
     call_delta,
     call_payoff_polynomial,
+    even_chaos_polynomial,
     expected_positive_part,
     initial_bond_price,
+    kernel_polynomial,
     price_bond_call,
     price_swaption,
     quadrature_price,
     swaption_payoff_polynomial,
 )
 from chaosrates.coherent_model import kernel_coefficient
+from chaosrates.polynomial_pricer import _ROUNDING_FLOOR, _newton_polish, _real_roots, _residual_scale
 from chaosrates.special_functions import gaussian_partial_moments
 from closed_form_cases import (
     biquadratic_positive_part,
@@ -480,3 +485,142 @@ class TestSwaption:
             oracle = quadrature_price(swaption_payoff_polynomial(model, spec), n)
             assert analytic == pytest.approx(oracle, abs=1e-9)
             assert analytic >= 0.0
+
+
+FAMILIES = [
+    ExponentialDensity(0.23),
+    PiecewiseConstantDensity((1.0, 2.5, 6.0, 14.0), (0.4, 1.3, 0.7, 0.2)),
+    DiscreteAtoms((0.5, 1.0, 2.0, 3.5, 6.0, 11.0), (0.1, 0.2, 0.15, 0.25, 0.2, 0.1)),
+]
+
+
+class TestEvenPayoffs:
+    """Every coherent payoff is p(z) = P(z^2): the fast root path rests on
+    the odd coefficients being exactly zero, not merely small."""
+
+    @pytest.mark.parametrize("sf", FAMILIES, ids=lambda sf: sf.family)
+    def test_every_payoff_polynomial_is_even(self, sf):
+        rng = np.random.default_rng(5)
+        for n in range(1, 21):
+            model = CoherentModel(n, sf)
+            for t, T in ((1.0, 2.0), (2.0, 6.5), (3.5, 11.0)):
+                q_t, q_T = sf.q_at(t), sf.q_at(T)
+                assert not any(kernel_polynomial(n, q_t, q_T).coeffs[1::2])
+                strike = float(rng.uniform(0.2, 1.5))
+                assert not any(call_payoff_polynomial(model, OptionSpec(t, T, strike)).coeffs[1::2])
+                dates = (T, T + 0.5, T + 2.0)
+                payoff = swaption_payoff_polynomial(model, SwaptionSpec(t, dates, strike / 10.0))
+                assert not any(payoff.coeffs[1::2])
+                # the call_delta sensitivity: any weights through the same primitive
+                weights = rng.uniform(-2.0, 2.0, n).tolist()
+                sens = even_chaos_polynomial(n, weights, q_t).scale_argument(math.sqrt(q_t))
+                assert not any(sens.coeffs[1::2])
+
+    @staticmethod
+    def _from_roots(lead, real_pairs, complex_pairs):
+        # lead * prod (z^2 - r^2) * prod (z^2 + s), expanded in y = z^2
+        P = RealPolynomial((lead,))
+        for r in real_pairs:
+            P = P * RealPolynomial((-r * r, 1.0))
+        for s in complex_pairs:
+            P = P * RealPolynomial((s, 1.0))
+        coeffs = [0.0] * (2 * len(P.coeffs) - 1)
+        coeffs[::2] = P.coeffs
+        return RealPolynomial(coeffs)
+
+    @given(
+        st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+        st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4),
+        st.lists(st.floats(0.01, 30.0), min_size=0, max_size=14),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_even_roots_from_construction(self, lead, real_pairs, complex_pairs):
+        total = len(real_pairs) + len(complex_pairs)
+        assume(2 <= total <= 15)
+        p = self._from_roots(lead, real_pairs, complex_pairs)
+        roots = _real_roots(p)
+        assert roots == sorted(-x for x in roots)
+        for x in roots:
+            assert abs(p(x)) <= 1e-11 * _residual_scale(p, x)
+        zs = sorted([-r for r in real_pairs] + real_pairs)
+        if min(b - a for a, b in zip(zs, zs[1:])) > 1e-6:
+            assert len(roots) == len(zs)
+
+    def test_even_payoff_solves_half_the_degree(self, monkeypatch):
+        seen = []
+        polyroots = np.polynomial.polynomial.polyroots
+
+        def recording(c):
+            seen.append(len(c) - 1)
+            return polyroots(c)
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", recording)
+        even = call_payoff_polynomial(CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9))
+        assert even.degree == 30
+        _real_roots(even)
+        assert seen == [15]
+        # a non-even polynomial keeps the full-degree general path
+        seen.clear()
+        odd = RealPolynomial((1.0,))
+        for r in (-3.0, -2.0, 0.5, 1.0):
+            odd = odd * RealPolynomial((-r, 1.0))
+        assert _real_roots(odd) == pytest.approx([-3.0, -2.0, 0.5, 1.0], abs=1e-14)
+        assert seen == [4]
+
+
+class CountingPolynomial:
+    """A RealPolynomial that counts its evaluations."""
+
+    def __init__(self, p):
+        self.p, self.coeffs, self.calls = p, p.coeffs, 0
+
+    def derivative(self):
+        return self.p.derivative()
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.p(x)
+
+
+def test_newton_stops_at_the_rounding_floor():
+    # an n = 16 call whose roots near +-5.04 are so ill-conditioned that
+    # Newton steps from a point at the rounding floor only wander in noise
+    model = call_model(16, 0.895099408233954, 0.9997013358474597)
+    p = call_payoff_polynomial(model, OptionSpec(1.0, 2.0, 0.007638828534798706))
+    size = RealPolynomial([abs(c) for c in p.coeffs])
+    x = 5.042924790072165
+    assert 0.0 < abs(p(x)) <= _ROUNDING_FLOOR * size(abs(x))
+    counted = CountingPolynomial(p)
+    root = _newton_polish(counted, x)
+    assert counted.calls <= 2
+    assert abs(p(root)) <= 1e-11 * _residual_scale(p, root)
+
+
+class TestNearZeroExpiry:
+    """Q_t so small that the payoff's leading coefficient underflows: the
+    price is the q_t -> 0 intrinsic value max(P(0, T) - K P(0, t), 0)."""
+
+    @staticmethod
+    def _intrinsic(model, spec):
+        P0t = initial_bond_price(model, spec.option_maturity)
+        P0T = initial_bond_price(model, spec.bond_maturity)
+        return max(P0T - spec.strike * P0t, 0.0)
+
+    def test_analytic_price(self):
+        model = CoherentModel(5, ExponentialDensity(0.1))
+        spec = OptionSpec(1e-79, 5.0, 0.35)
+        assert 0.0 < abs(call_payoff_polynomial(model, spec).coeffs[-1]) < 1e-300
+        price = price_bond_call(model, spec)
+        assert math.isfinite(price)
+        assert price == pytest.approx(self._intrinsic(model, spec), abs=1e-12)
+        assert call_delta(model, spec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_quadrature_oracle(self):
+        model = CoherentModel(3, ExponentialDensity(0.1))
+        spec = OptionSpec(1e-160, 5.0, 0.35)
+        poly = call_payoff_polynomial(model, spec)
+        assert 0.0 < abs(poly.coeffs[-1]) < 1e-300
+        want = self._intrinsic(model, spec)
+        for price in (quadrature_price(poly, 3), price_bond_call(model, spec)):
+            assert math.isfinite(price)
+            assert price == pytest.approx(want, abs=1e-12)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,28 @@ class TestDiscreteAtoms:
         sf = DiscreteAtoms((1.0,), (1.0,))
         assert not sf.is_density
         assert sf.squared_density(0.5) == 0.0
+
+
+class TestScalarDensity:
+    """A float time takes a scalar path; it must read exactly as the array path."""
+
+    SFS = [
+        ExponentialDensity(0.37),
+        PiecewiseConstantDensity((0.5, 1.25, 4.0, 9.5), (0.3, 2.0, 0.0, 1.1)),
+        DiscreteAtoms((1.0, 4.0, 9.0), (0.5, 0.25, 0.25)),
+    ]
+
+    @pytest.mark.parametrize("sf", SFS, ids=lambda sf: sf.family)
+    def test_scalar_equals_array(self, sf):
+        breaks = list(getattr(sf, "breaks", ())) + list(getattr(sf, "times", ()))
+        times = [-3.0, -1e-300, -0.0, 0.0, 1e-300, 0.1, 0.7, 3.3, 12.0, 1e6, math.inf, *breaks]
+        times += [math.nextafter(b, -math.inf) for b in breaks] + [math.nextafter(b, math.inf) for b in breaks]
+        as_array = sf.squared_density(np.array(times))
+        for t, want in zip(times, as_array):
+            for scalar in (t, np.float64(t)):
+                got = sf.squared_density(scalar)
+                assert type(got) is float
+                assert got == want == sf.squared_density(np.asarray(t)), t
 
 
 class TestGaussianState:
