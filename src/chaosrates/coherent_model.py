@@ -52,14 +52,6 @@ class CoherentModel:
         return GaussianState(t=t, R=r, Q=self.sf.q_at(t))
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel level at a state plus its polynomial-in-R representation."""
-
-    pi: float
-    as_polynomial: RealPolynomial
-
-
 @lru_cache(maxsize=None)
 def _chaos_terms(m: int) -> tuple:
     # (coefficient, power of R, power of Q) triples for X^(m); exact
@@ -126,23 +118,6 @@ def chaos_polynomial(m: int, q: float) -> RealPolynomial:
     for coef, i, j in _chaos_terms(m):
         coeffs[i] = coef * q**j
     return RealPolynomial(tuple(coeffs))
-
-
-def chaos_martingale(m: int, state: GaussianState, method: str = "monomial") -> float:
-    """X^(m) at a state, via the chaos recurrence ("monomial", the name kept
-    for compatibility) or the scaled-Hermite form."""
-    if method == "monomial":
-        return chaos_value(m, state.R, state.Q)
-    if method == "hermite":
-        if m < 0:
-            return 0.0
-        q = state.Q
-        if q == 0:
-            return chaos_value(m, state.R, q)
-        from .special_functions import hermite
-
-        return q ** (m / 2) * hermite(m)(state.R / math.sqrt(q)) / math.factorial(m)
-    raise ValueError(f"unknown method {method!r}; expected 'monomial' or 'hermite'")
 
 
 @lru_cache(maxsize=None)
@@ -225,11 +200,11 @@ def _positive_kernel(n: int, xs, q: float, what: str) -> float:
     return pi
 
 
-def pricing_kernel(model: CoherentModel, state: GaussianState) -> KernelValue:
-    """Kernel level pi_t at the state, plus its polynomial in R_t."""
+def pricing_kernel(model: CoherentModel, state: GaussianState) -> float:
+    """Kernel level pi_t at the state; kernel_polynomial gives it as a polynomial in R_t."""
     n = model.n
     (pi,) = kernel_sums(n, chaos_values(2 * n - 2, state.R, state.Q), (state.Q,))
-    return KernelValue(pi=pi, as_polynomial=kernel_polynomial(n, state.Q, state.Q))
+    return pi
 
 
 def bond_price(model: CoherentModel, state: GaussianState, maturity: float) -> float:

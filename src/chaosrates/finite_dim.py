@@ -145,27 +145,33 @@ def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> AtomGrid:
     return AtomGrid(maturities=market.maturities, horizon=horizon, weights=tuple(weights))
 
 
-@dataclass(frozen=True)
-class SimplePath:
-    """One simulated piecewise-constant path of (R, Q, pi, P).
+@dataclass(frozen=True, eq=False)
+class SimplePaths:
+    """A batch of simulated piecewise-constant paths of (R, Q, pi, P).
 
-    Component k holds on [segment_starts[k], segment_starts[k+1]); the last
-    segment starts at the horizon, where Q = 1 and the kernel vanishes.
+    Row j of values, kernels and bond_prices is path j; column k holds on
+    [segment_starts[k], segment_starts[k+1]), and the last segment starts at
+    the horizon, where Q = 1 and the kernel vanishes.  segment_starts and
+    brackets are shared by every path.  All arrays are read-only; len() is
+    the path count.
     """
 
     bond_maturity: float
-    segment_starts: tuple
-    values: tuple
-    brackets: tuple
-    kernels: tuple
-    bond_prices: tuple
+    segment_starts: np.ndarray
+    brackets: np.ndarray
+    values: np.ndarray
+    kernels: np.ndarray
+    bond_prices: np.ndarray
 
-    @property
-    def jump_times(self) -> tuple:
-        return self.segment_starts[1:]
+    def __post_init__(self) -> None:
+        for a in (self.segment_starts, self.brackets, self.values, self.kernels, self.bond_prices):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
-def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, seed: int) -> list:
+def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, seed: int) -> SimplePaths:
     """Exact path simulation: one N(0, p_i) increment of R per atom.
 
     Path j draws from its own counter-based stream keyed by (seed, j), so a
@@ -183,12 +189,12 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
         )
     n_atoms = len(grid.weights)
     sds = np.sqrt(np.asarray([float(w) for w in grid.weights]))
-    draws = np.empty((count, n_atoms))
+    r = np.zeros((count, n_atoms + 1))
     for j in range(count):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-        draws[j] = rng.standard_normal(n_atoms)
-    increments = draws * sds
-    r = np.concatenate([np.zeros((count, 1)), np.cumsum(increments, axis=1)], axis=1)
+        r[j, 1:] = rng.standard_normal(n_atoms)
+    r[:, 1:] *= sds
+    np.cumsum(r[:, 1:], axis=1, out=r[:, 1:])
     q = np.concatenate([[0.0], np.cumsum(sds**2)])
     q[-1] = 1.0
     q_T = float(grid.cumulative_weight(bond_maturity))
@@ -198,37 +204,28 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     alive = starts < bond_maturity
     bond = np.ones_like(r)
     np.divide(numer, pi, out=bond, where=alive & (pi > 0))
-
-    starts, brackets = tuple(starts.tolist()), tuple(q.tolist())
-    return [
-        SimplePath(
-            bond_maturity=bond_maturity,
-            segment_starts=starts,
-            values=tuple(values),
-            brackets=brackets,
-            kernels=tuple(kernels),
-            bond_prices=tuple(bonds),
-        )
-        for values, kernels, bonds in zip(r.tolist(), pi.tolist(), bond.tolist())
-    ]
+    return SimplePaths(bond_maturity, starts, q, r, pi, bond)
 
 
-def write_paths_csv(paths: list, out_dir) -> list:
+def write_paths_csv(paths: SimplePaths, out_dir) -> list:
     """Write one CSV per path (columns time,R,Q,pi,P); returns the file paths.
 
-    Each file is formatted in memory and written in one call: repr floats,
-    comma separated, CRLF line ends (the csv module's default dialect).
+    Each file is formatted in memory from its array rows and written in one
+    call: repr floats, comma separated, CRLF line ends (the csv module's
+    default dialect).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(len(paths) - 1)))
+    # .tolist() gives Python floats, whose repr is the shortest round trip
+    starts, brackets = paths.segment_starts.tolist(), paths.brackets.tolist()
     written = []
-    for j, path in enumerate(paths):
+    for j, (values, kernels, bonds) in enumerate(zip(paths.values, paths.kernels, paths.bond_prices)):
         target = out / f"path_{j:0{width}d}.csv"
-        rows = zip(path.segment_starts, path.values, path.brackets, path.kernels, path.bond_prices)
-        lines = ["time,R,Q,pi,P"] + [",".join([repr(float(v)) for v in row]) for row in rows]
+        rows = zip(starts, values.tolist(), brackets, kernels.tolist(), bonds.tolist())
+        text = "time,R,Q,pi,P\r\n" + "".join(f"{t!r},{r!r},{q!r},{k!r},{p!r}\r\n" for t, r, q, k, p in rows)
         with open(target, "w", newline="") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
+            fh.write(text)
         written.append(target)
     return written
 

@@ -160,9 +160,9 @@ def _payoff_legs(payoff) -> tuple:
     raise ValueError(f"unsupported payoff type {type(payoff).__name__}")
 
 
-def _joint_driver_factor(model: IncoherentModel, t: float) -> np.ndarray:
-    # F with F F^T the joint covariance of the driver values at t
-    vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+def _gram_factor(gram) -> np.ndarray:
+    # F with F F^T = gram, for a positive semidefinite Gram matrix
+    vals, vecs = np.linalg.eigh(np.asarray(gram))
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
@@ -291,7 +291,7 @@ def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
     terms = model.terms
     constant, products = _incoherent_form(model, t, weight, legs)
     q_t = [term.sf.q_at(t) for term in terms]
-    factor = _joint_driver_factor(model, t)
+    factor = _gram_factor(accumulated_gram_matrix(model, t))  # joint covariance of the drivers at t
     width = min(samples, MC_CHUNK)
     acc, prod = np.empty((2, width))
     z, drivers = np.empty((2, width, len(terms)))
@@ -334,12 +334,16 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
     Uses mean(X_inf^2) - (E_t[X_inf])^2 with the conditional mean known in
     closed form (martingale property), halving the estimator noise relative
     to a plain sample variance.  The squares are drawn and averaged
-    MC_CHUNK at a time, so memory stays constant.
+    MC_CHUNK at a time, so memory stays constant.  Incoherent weights are
+    scaled by 2^-e to max |c_i| in [1/2, 1), exactly, and the estimate
+    scaled back by 4^e, so OverflowError is raised only when the variance
+    itself lies beyond the float range.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
     if isinstance(model, CoherentModel) and isinstance(state, GaussianState):
+        e = 0
         x_t = chaos_value(model.n, state.R, state.Q)
         resid = math.sqrt(1.0 - state.Q)
 
@@ -348,21 +352,22 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
             return chaos_value(model.n, r_inf, 1.0) ** 2
 
     elif isinstance(model, IncoherentModel) and isinstance(state, MultiGaussianState):
-        gram = np.asarray(state.residual_gram)
-        vals, vecs = np.linalg.eigh(gram)
-        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        terms = model.terms
+        e = math.frexp(max(abs(term.weight) for term in terms))[1]
+        c = [math.ldexp(term.weight, -e) for term in terms]
+        factor = _gram_factor(state.residual_gram)
         x_t = 0.0
-        for i, term in enumerate(model.terms):
-            x_t += term.weight * chaos_value(term.order, state.values[i], state.brackets[i])
+        for i, term in enumerate(terms):
+            x_t += c[i] * chaos_value(term.order, state.values[i], state.brackets[i])
 
         def chunk_squares(size):
-            delta = rng.standard_normal((size, gram.shape[0])) @ factor.T
+            delta = rng.standard_normal((size, len(terms))) @ factor.T
             x_inf = np.zeros(size)
-            for i, term in enumerate(model.terms):
-                x_inf += term.weight * chaos_value(term.order, state.values[i] + delta[:, i], 1.0)
+            for i, term in enumerate(terms):
+                x_inf += c[i] * chaos_value(term.order, state.values[i] + delta[:, i], 1.0)
             return x_inf**2
 
     else:
         raise ValueError("model/state pairing not supported")
     mean, se = _chunked_mean_and_error(samples, chunk_squares)
-    return mean - x_t**2, se
+    return math.ldexp(mean - x_t**2, 2 * e), math.ldexp(se, 2 * e)

@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
-from chaosrates import RealPolynomial, StructureFunction, chaos_polynomial
+import math
+
+from chaosrates import RealPolynomial, StructureFunction, chaos_polynomial, hermite
 
 
 class LookupBracket(StructureFunction):
@@ -29,3 +31,17 @@ def per_k_chaos_sum(n, coeffs, q):
         if c != 0.0:
             acc = acc + c * chaos_polynomial(2 * n - 2 * k, q)
     return acc
+
+
+def scaled_hermite_chaos(m, r, q):
+    """X^(m)(r, q) = q^(m/2) He_m(r / sqrt(q)) / m!, the reference for chaos_value.
+
+    At q = 0 the limit r^m / m!.  Overflows for denormal q > 0.
+    """
+    if m < 0:
+        return 0.0
+    if m == 0:
+        return 1.0
+    if q == 0.0:
+        return r**m / math.factorial(m)
+    return q ** (m / 2) * hermite(m)(r / math.sqrt(q)) / math.factorial(m)

@@ -136,16 +136,16 @@ def test_criterion_03_kernel_values(acceptance_log):
     t0 = time.perf_counter()
     sf = ExponentialDensity(0.5)
     zero = GaussianState(0.0, 0.0, 0.0)
-    exact_half = pricing_kernel(CoherentModel(2, sf), zero).pi == 0.5
+    exact_half = pricing_kernel(CoherentModel(2, sf), zero) == 0.5
     init_err = max(
-        abs(pricing_kernel(CoherentModel(n, sf), zero).pi - 1.0 / math.factorial(n))
+        abs(pricing_kernel(CoherentModel(n, sf), zero) - 1.0 / math.factorial(n))
         for n in range(1, 6)
     )
     worst_z = 0.0
     for n in (1, 2, 3):
         model = CoherentModel(n, sf)
         state = GaussianState(1.0, 0.35, sf.q_at(1.0))
-        closed = pricing_kernel(model, state).pi
+        closed = pricing_kernel(model, state)
         est, se = mc_conditional_variance(model, state, 1_000_000, 1000 + n)
         worst_z = max(worst_z, abs(est - closed) / se)
     elapsed = time.perf_counter() - t0
@@ -384,10 +384,8 @@ def test_criterion_09_martingale_products(acceptance_log):
     grid = AtomGrid(tuple(float(i) for i in range(1, 11)), 11.0, (0.08,) * 10 + (0.2,))
     paths = simulate_paths(grid, 2, 7.0, 100_000, 314159)
     target = 0.5 * float(initial_curve(grid, 2).price_at(7.0))
-    prods = np.array(
-        [[k * p for k, p in zip(path.kernels, path.bond_prices)] for path in paths]
-    )
-    starts = paths[0].segment_starts
+    prods = paths.kernels * paths.bond_prices
+    starts = paths.segment_starts
     det_err = abs(float(prods[:, 0].mean()) - target)  # time-0 column is deterministic
     worst_z = 0.0
     for idx, t in enumerate(starts):
@@ -401,13 +399,12 @@ def test_criterion_09_martingale_products(acceptance_log):
     near = simulate_paths(grid, 2, 7.0, 100, 9)
     far_grid = AtomGrid(grid.maturities, 25.0, grid.weights)
     far = simulate_paths(far_grid, 2, 7.0, 100, 9)
-    horizon_exact = all(
-        a.values == b.values
-        and a.brackets == b.brackets
-        and a.kernels == b.kernels
-        and a.bond_prices == b.bond_prices
-        and a.segment_starts[:-1] == b.segment_starts[:-1]
-        for a, b in zip(near, far)
+    horizon_exact = (
+        np.array_equal(near.values, far.values)
+        and np.array_equal(near.brackets, far.brackets)
+        and np.array_equal(near.kernels, far.kernels)
+        and np.array_equal(near.bond_prices, far.bond_prices)
+        and np.array_equal(near.segment_starts[:-1], far.segment_starts[:-1])
     )
     elapsed = time.perf_counter() - t0
     ok = det_err <= 1e-12 and worst_z <= 3.0 and horizon_exact and elapsed < 60.0
@@ -431,7 +428,7 @@ def test_criterion_10_incoherent_kernels(acceptance_log):
         inc = IncoherentModel((IncoherentTerm(1.0, n, sf),))
         coh = CoherentModel(n, sf)
         ki = incoherent_kernel(inc, multi_state_at(inc, t, (r,)))
-        kc = pricing_kernel(coh, GaussianState(t, r, sf.q_at(t))).pi
+        kc = pricing_kernel(coh, GaussianState(t, r, sf.q_at(t)))
         collapse_err = max(collapse_err, abs(ki - kc) / max(1.0, abs(kc)))
 
     two = IncoherentModel(

@@ -12,12 +12,10 @@ from chaosrates import (
     ExponentialDensity,
     GaussianState,
     bond_price,
-    chaos_martingale,
     chaos_polynomial,
     chaos_value,
     chaos_values,
     even_chaos_polynomial,
-    hermite,
     initial_bond_price,
     kernel_coefficient,
     kernel_polynomial,
@@ -27,19 +25,9 @@ from chaosrates import (
     state_at,
 )
 from chaosrates.coherent_model import _chaos_terms, from_descriptor, rate_coefficient, to_descriptor
-from support import per_k_chaos_sum
+from support import per_k_chaos_sum, scaled_hermite_chaos
 
 SF = ExponentialDensity(0.1)
-
-
-def closed_chaos(m, r, q):
-    if m < 0:
-        return 0.0
-    if m == 0:
-        return 1.0
-    if q == 0.0:
-        return r**m / math.factorial(m)
-    return q ** (m / 2) * hermite(m)(r / math.sqrt(q)) / math.factorial(m)
 
 
 @given(
@@ -52,7 +40,7 @@ def test_chaos_value_equals_scaled_hermite(m, r, q):
     # q bounded away from 0: the scaled-Hermite reference itself overflows
     # for denormal q, the q -> 0 limit is covered below
     got = chaos_value(m, r, q)
-    want = closed_chaos(m, r, q)
+    want = scaled_hermite_chaos(m, r, q)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
@@ -83,7 +71,7 @@ def test_chaos_values_agree_with_hermite_and_polynomial_forms():
         for idx, r in enumerate(rs):
             scalars = chaos_values(40, float(r), q)
             for m in range(41):
-                hermite_form = chaos_martingale(m, GaussianState(1.0, float(r), q), method="hermite")
+                hermite_form = scaled_hermite_chaos(m, float(r), q)
                 polynomial_form = chaos_polynomial(m, q)(float(r))
                 tol = 1e-13 * _term_scale(m, r, q)
                 assert abs(scalars[m] - hermite_form) <= tol
@@ -110,16 +98,6 @@ def test_chaos_polynomial_agrees_with_direct_value():
         for r in (-1.2, 0.0, 0.8):
             assert poly(r) == pytest.approx(chaos_value(m, r, 0.35), rel=1e-13, abs=1e-15)
         assert poly.degree == m
-
-
-def test_chaos_martingale_methods_agree():
-    s = GaussianState(4.0, -0.6, SF.q_at(4.0))
-    for m in range(9):
-        a = chaos_martingale(m, s, method="monomial")
-        b = chaos_martingale(m, s, method="hermite")
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
-    with pytest.raises(ValueError):
-        chaos_martingale(2, s, method="closedform")
 
 
 class TestKernelCoefficients:
@@ -149,7 +127,7 @@ class TestKernelCoefficients:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kernel_at_origin_is_reciprocal_factorial(n):
     model = CoherentModel(n, SF)
-    pi0 = pricing_kernel(model, GaussianState(0.0, 0.0, 0.0)).pi
+    pi0 = pricing_kernel(model, GaussianState(0.0, 0.0, 0.0))
     assert pi0 == 1.0 / math.factorial(n)
 
 
@@ -157,7 +135,7 @@ def test_order_two_kernel_closed_form():
     # (1-Q) R^2 + (1-Q)^2 / 2, checked against the generic weight sum
     q, r = 0.3, 0.4
     model = CoherentModel(2, SF)
-    pi = pricing_kernel(model, GaussianState(3.0, r, q)).pi
+    pi = pricing_kernel(model, GaussianState(3.0, r, q))
     assert pi == pytest.approx((1 - q) * r * r + 0.5 * (1 - q) ** 2, rel=1e-14)
 
 
@@ -167,7 +145,7 @@ def test_kernel_polynomial_degree_and_value():
         assert poly.degree == 2 * n - 2
         model = CoherentModel(n, SF)
         state = GaussianState(1.0, -0.9, 0.4)
-        assert poly(-0.9) == pytest.approx(pricing_kernel(model, state).pi, rel=1e-12)
+        assert poly(-0.9) == pytest.approx(pricing_kernel(model, state), rel=1e-12)
 
 
 @given(

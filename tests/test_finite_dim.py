@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -183,69 +185,90 @@ class TestSimulation:
     def test_seed_reproducibility(self):
         a = simulate_paths(TEN_YEARS, 2, 7.0, 3, 42)
         b = simulate_paths(TEN_YEARS, 2, 7.0, 3, 42)
-        for pa, pb in zip(a, b):
-            assert pa == pb
+        for field in ("segment_starts", "brackets", "values", "kernels", "bond_prices"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_path_stream_is_independent_of_count(self):
         many = simulate_paths(TEN_YEARS, 2, 7.0, 3, 77)
         few = simulate_paths(TEN_YEARS, 2, 7.0, 2, 77)
-        assert many[1].values == few[1].values
-        assert many[0].kernels == few[0].kernels
+        assert np.array_equal(many.values[:2], few.values)
+        assert np.array_equal(many.kernels[:2], few.kernels)
 
     def test_horizon_placement_is_invisible(self):
         far = AtomGrid(TEN_YEARS.maturities, 25.0, TEN_YEARS.weights)
-        a = simulate_paths(TEN_YEARS, 2, 7.0, 2, 9)[0]
-        b = simulate_paths(far, 2, 7.0, 2, 9)[0]
-        assert a.values == b.values
-        assert a.brackets == b.brackets
-        assert a.kernels == b.kernels
-        assert a.bond_prices == b.bond_prices
-        assert a.segment_starts[:-1] == b.segment_starts[:-1]
+        a = simulate_paths(TEN_YEARS, 2, 7.0, 2, 9)
+        b = simulate_paths(far, 2, 7.0, 2, 9)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.brackets, b.brackets)
+        assert np.array_equal(a.kernels, b.kernels)
+        assert np.array_equal(a.bond_prices, b.bond_prices)
+        assert np.array_equal(a.segment_starts[:-1], b.segment_starts[:-1])
         assert (a.segment_starts[-1], b.segment_starts[-1]) == (11.0, 25.0)
 
     def test_path_shape(self):
-        (path,) = simulate_paths(TEN_YEARS, 2, 7.0, 1, 5)
+        paths = simulate_paths(TEN_YEARS, 2, 7.0, 3, 5)
         m = len(TEN_YEARS.weights) + 1
-        assert len(path.segment_starts) == m
-        assert len(path.values) == m
-        assert path.segment_starts[0] == 0.0
-        assert path.values[0] == 0.0
-        assert path.jump_times == TEN_YEARS.atom_times
+        assert len(paths) == 3
+        assert paths.bond_maturity == 7.0
+        assert paths.segment_starts.shape == paths.brackets.shape == (m,)
+        for a in (paths.values, paths.kernels, paths.bond_prices):
+            assert a.shape == (3, m)
+        assert paths.segment_starts[0] == 0.0
+        assert np.all(paths.values[:, 0] == 0.0)
+        assert tuple(paths.segment_starts[1:].tolist()) == TEN_YEARS.atom_times
+
+    def test_batch_is_read_only(self):
+        paths = simulate_paths(TEN_YEARS, 2, 7.0, 2, 5)
+        for a in (paths.segment_starts, paths.brackets, paths.values, paths.kernels, paths.bond_prices):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_batch_holds_only_its_arrays(self):
+        # the returned batch is its five arrays and nothing else: no per-path
+        # Python objects
+        simulate_paths(TEN_YEARS, 2, 7.0, 2, 1)  # warm module-level caches
+        tracemalloc.start()
+        try:
+            paths = simulate_paths(TEN_YEARS, 2, 7.0, 20_000, 314159)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = (paths.segment_starts, paths.brackets, paths.values, paths.kernels, paths.bond_prices)
+        nbytes = sum(a.nbytes for a in arrays)
+        assert abs(held - nbytes) <= 2**20, (held, nbytes)
 
     def test_brackets_follow_the_grid(self):
-        (path,) = simulate_paths(TEN_YEARS, 2, 7.0, 1, 5)
-        assert path.brackets[0] == 0.0
-        assert path.brackets[5] == pytest.approx(0.4, abs=1e-15)
-        assert path.brackets[-1] == 1.0
+        paths = simulate_paths(TEN_YEARS, 2, 7.0, 1, 5)
+        assert paths.brackets[0] == 0.0
+        assert paths.brackets[5] == pytest.approx(0.4, abs=1e-15)
+        assert paths.brackets[-1] == 1.0
 
     def test_kernel_boundary_values(self):
         for n in (1, 2, 3):
-            (path,) = simulate_paths(TEN_YEARS, n, 7.0, 1, 5)
-            assert path.kernels[0] == 1.0 / math.factorial(n)
-            assert path.kernels[-1] == 0.0
+            paths = simulate_paths(TEN_YEARS, n, 7.0, 1, 5)
+            assert paths.kernels[0, 0] == 1.0 / math.factorial(n)
+            assert paths.kernels[0, -1] == 0.0
 
     def test_kernels_stay_positive_before_horizon(self):
-        for path in simulate_paths(TEN_YEARS, 3, 7.0, 50, 8):
-            assert all(k > 0.0 for k in path.kernels[:-1])
+        paths = simulate_paths(TEN_YEARS, 3, 7.0, 50, 8)
+        assert np.all(paths.kernels[:, :-1] > 0.0)
 
     def test_bond_settles_at_par(self):
-        for path in simulate_paths(TEN_YEARS, 2, 7.0, 20, 3):
-            for start, price in zip(path.segment_starts, path.bond_prices):
-                if start >= 7.0:
-                    assert price == 1.0
-                else:
-                    assert price > 0.0
+        paths = simulate_paths(TEN_YEARS, 2, 7.0, 20, 3)
+        settled = paths.segment_starts >= 7.0
+        assert np.all(paths.bond_prices[:, settled] == 1.0)
+        assert np.all(paths.bond_prices[:, ~settled] > 0.0)
 
     def test_initial_bond_price_matches_curve(self):
         curve = initial_curve(TEN_YEARS, 2)
-        (path,) = simulate_paths(TEN_YEARS, 2, 7.0, 1, 5)
+        paths = simulate_paths(TEN_YEARS, 2, 7.0, 1, 5)
         want = float(curve.price_at(7.0)) / 1.0  # P(0,7) read off the curve
         # first segment: pi_0 P(0,T) with pi_0 = 1/2
-        assert path.bond_prices[0] * path.kernels[0] == pytest.approx(0.5 * want, rel=1e-13)
+        assert paths.bond_prices[0, 0] * paths.kernels[0, 0] == pytest.approx(0.5 * want, rel=1e-13)
 
     def test_increment_distribution(self):
         paths = simulate_paths(TEN_YEARS, 2, 7.0, 4000, 123)
-        r = np.array([p.values for p in paths])
+        r = paths.values
         # terminal driver is standard normal, value at T_N has variance 0.8
         assert stats.kstest(r[:, -1], "norm").pvalue > 1e-3
         assert stats.kstest(r[:, 10] / math.sqrt(0.8), "norm").pvalue > 1e-3
@@ -254,6 +277,17 @@ class TestSimulation:
         band = 4.0 * math.sqrt(2.0 / (len(paths) - 1))
         assert np.all(np.abs(var[:10] - 0.08) <= 0.08 * band)
         assert abs(float(np.corrcoef(inc[:, 0], inc[:, 1])[0, 1])) <= 0.07
+
+
+def _digest(files) -> str:
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+THIRTY_ATOMS = AtomGrid(tuple(0.5 * i for i in range(1, 31)), 16.0, (0.025,) * 30 + (0.25,))
 
 
 class TestCsvRoundTrip:
@@ -270,17 +304,11 @@ class TestCsvRoundTrip:
         with open(files[1], newline="") as fh:
             rows = list(csvmod.reader(fh))
         assert rows[0] == ["time", "R", "Q", "pi", "P"]
-        got = [tuple(float(x) for x in row) for row in rows[1:]]
-        want = list(
-            zip(
-                paths[1].segment_starts,
-                paths[1].values,
-                paths[1].brackets,
-                paths[1].kernels,
-                paths[1].bond_prices,
-            )
+        got = np.array([[float(x) for x in row] for row in rows[1:]])
+        want = np.column_stack(
+            [paths.segment_starts, paths.values[1], paths.brackets, paths.kernels[1], paths.bond_prices[1]]
         )
-        assert got == want  # repr round-trip is exact
+        assert np.array_equal(got, want)  # repr round-trip is exact
 
     def test_written_bytes_match_the_csv_module(self, tmp_path):
         # the one-call writer must keep the csv.writer bytes: repr floats,
@@ -290,14 +318,38 @@ class TestCsvRoundTrip:
 
         paths = simulate_paths(TEN_YEARS, 3, 7.0, 4, 12)
         files = write_paths_csv(paths, tmp_path / "out")
-        for j, (path, target) in enumerate(zip(paths, files)):
+        for j, target in enumerate(files):
             buf = io.StringIO(newline="")
             writer = csvmod.writer(buf)
             writer.writerow(["time", "R", "Q", "pi", "P"])
-            for row in zip(path.segment_starts, path.values, path.brackets, path.kernels, path.bond_prices):
+            columns = (paths.segment_starts, paths.values[j], paths.brackets, paths.kernels[j], paths.bond_prices[j])
+            for row in zip(*columns):
                 writer.writerow([repr(float(v)) for v in row])
             assert target.name == f"path_{j:05d}.csv"
             assert target.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "grid, n, maturity, seed, count, digest",
+        [
+            (TEN_YEARS, 2, 7.0, 11, 3, "2d5293d7720f3b05d2dcdcae10d226788d00e8789feaea9828783d16c04c2035"),
+            (THIRTY_ATOMS, 5, 12.25, 2026, 40, "79636f46f0b1a2c2e60ba688ba804577d861bfd144b18ac09c3b3c7bd7723140"),
+            (
+                AtomGrid((1.0, 2.0, 3.0), 4.0, QUARTER),
+                3,
+                2.5,
+                2**64 - 1,
+                7,
+                "ddea93d4980ec89950e913709bd8f0b50b232dd49bcd4a08a0a0dbc411fe89e9",
+            ),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, grid, n, maturity, seed, count, digest):
+        # SHA-256 over every file name and its bytes, pinned when paths were
+        # still returned one tuple-of-tuples object per path: the (seed, j)
+        # streams and the CSV format must not move
+        files = write_paths_csv(simulate_paths(grid, n, maturity, count, seed), tmp_path / "out")
+        assert len(files) == count
+        assert _digest(files) == digest
 
     def test_market_curve_round_trip(self, tmp_path):
         target = tmp_path / "market.csv"

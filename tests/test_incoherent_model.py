@@ -153,7 +153,7 @@ class TestSingleTermCollapse:
         inc = IncoherentModel((IncoherentTerm(1.0, n, SF),))
         coh = CoherentModel(n, SF)
         ki = incoherent_kernel(inc, multi_state_at(inc, t, (r,)))
-        kc = pricing_kernel(coh, GaussianState(t, r, SF.q_at(t))).pi
+        kc = pricing_kernel(coh, GaussianState(t, r, SF.q_at(t)))
         assert ki == pytest.approx(kc, rel=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -226,6 +226,28 @@ class TestMonteCarloAgreement:
         closed = mixed_order_kernel(MIXED, state)
         est, se = mc_conditional_variance(MIXED, state, 400_000, 97)
         assert abs(est - closed) <= 4.0 * se
+
+    @staticmethod
+    def _orders_2_3(weight):
+        return IncoherentModel((IncoherentTerm(weight, 2, SF), IncoherentTerm(weight, 3, ExponentialDensity(0.3))))
+
+    def test_conditional_variance_of_huge_weights(self):
+        # the squares of 1e150-weighted sums overflow unless the weights are
+        # scaled by a power of two first; pi_t itself is 3.1e299
+        model = self._orders_2_3(1e150)
+        state = multi_state_at(model, 0.5, (0.3, -0.2))
+        closed = incoherent_kernel(model, state)
+        est, se = mc_conditional_variance(model, state, 100_000, 5)
+        assert math.isfinite(se) and se > 0.0
+        assert abs(est - closed) <= 4.0 * se
+
+    def test_conditional_variance_beyond_the_float_range_overflows(self):
+        model = self._orders_2_3(1e200)
+        state = multi_state_at(model, 0.5, (0.3, -0.2))
+        with pytest.raises(OverflowError):
+            incoherent_kernel(model, state)
+        with pytest.raises(OverflowError):
+            mc_conditional_variance(model, state, 1_000, 5)
 
     def test_mixed_diagonal_normalisation_is_identified(self):
         # the conditional variance fixes the per-order diagonal weights

@@ -201,7 +201,7 @@ class TestMonteCarloPricing:
 
     def test_conditional_variance_matches_kernel(self):
         state = GaussianState(1.0, 0.4, SF.q_at(1.0))
-        closed = pricing_kernel(ORDER_TWO, state).pi
+        closed = pricing_kernel(ORDER_TWO, state)
         est, se = mc_conditional_variance(ORDER_TWO, state, 400_000, 19)
         assert abs(est - closed) <= 4.0 * se
 
