@@ -190,8 +190,22 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     n_atoms = len(grid.weights)
     sds = np.sqrt(np.asarray([float(w) for w in grid.weights]))
     r = np.zeros((count, n_atoms + 1))
+    # one generator re-keyed per path: the same draws as a fresh
+    # Generator(Philox(key=[seed, j])), without building one per path
+    key = np.array([seed, 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bits = np.random.Philox(key=key)
+    rng = np.random.Generator(bits)
     for j in range(count):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+        key[1] = j
+        bits.state = fresh
         r[j, 1:] = rng.standard_normal(n_atoms)
     r[:, 1:] *= sds
     np.cumsum(r[:, 1:], axis=1, out=r[:, 1:])
@@ -217,13 +231,16 @@ def write_paths_csv(paths: SimplePaths, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = max(5, len(str(len(paths) - 1)))
-    # .tolist() gives Python floats, whose repr is the shortest round trip
-    starts, brackets = paths.segment_starts.tolist(), paths.brackets.tolist()
+    # .tolist() gives Python floats, whose repr is the shortest round trip;
+    # the time and Q columns are shared by every file, so they are formatted
+    # once, and rows convert one path at a time to keep memory flat
+    heads = [f"{t!r}," for t in paths.segment_starts.tolist()]
+    mids = [f",{q!r}," for q in paths.brackets.tolist()]
     written = []
     for j, (values, kernels, bonds) in enumerate(zip(paths.values, paths.kernels, paths.bond_prices)):
         target = out / f"path_{j:0{width}d}.csv"
-        rows = zip(starts, values.tolist(), brackets, kernels.tolist(), bonds.tolist())
-        text = "time,R,Q,pi,P\r\n" + "".join(f"{t!r},{r!r},{q!r},{k!r},{p!r}\r\n" for t, r, q, k, p in rows)
+        rows = zip(heads, map(repr, values.tolist()), mids, map(repr, kernels.tolist()), map(repr, bonds.tolist()))
+        text = "time,R,Q,pi,P\r\n" + "".join(f"{h}{r}{m}{k},{p}\r\n" for h, r, m, k, p in rows)
         with open(target, "w", newline="") as fh:
             fh.write(text)
         written.append(target)

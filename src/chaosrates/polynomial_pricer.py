@@ -8,9 +8,12 @@ where p is positive.
 
 The kernel is a sum of even chaoses, so every coherent payoff is even in z:
 p(z) = P(z^2) with P of degree n - 1.  Root isolation uses this whenever
-every odd coefficient is exactly zero: it finds the real roots y of P and
-maps each y > 0 to the pair +-sqrt(y), so the companion matrix is of
-degree n - 1, not 2n - 2.
+every odd coefficient is exactly zero: it finds the roots y >= 0 of P and
+maps each y > 0 to the pair +-sqrt(y).  Above degree 2, Descartes's rule of
+signs on P's float coefficients settles most payoffs: no sign change means
+no positive root, one means exactly one, found by Newton-bisection inside a
+root bound.  Only P with two or more sign changes needs the companion
+matrix, of degree n - 1, not 2n - 2.
 """
 
 from __future__ import annotations
@@ -114,9 +117,8 @@ def _stable_quadratic_roots(c0: float, c1: float, c2: float) -> list:
     return sorted([q / c2, c0 / q])
 
 
-def _newton_polish(p: RealPolynomial, x: float) -> float:
-    dp = p.derivative()
-    size = RealPolynomial([abs(c) for c in p.coeffs])
+def _newton_polish(p: RealPolynomial, dp: RealPolynomial, size: RealPolynomial, x: float) -> float:
+    """Newton on p from x; size holds |c_k|, so size(|x|) bounds p's rounding."""
     for _ in range(40):
         fx = p(x)
         dfx = dp(x)
@@ -138,6 +140,95 @@ def _residual_scale(p: RealPolynomial, x: float) -> float:
     return 1.0 + sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
 
 
+def _polished_roots(p: RealPolynomial, candidates) -> list:
+    """Newton-polish the real candidates, keep those p certifies, dedupe."""
+    dp = p.derivative()
+    size = RealPolynomial([abs(c) for c in p.coeffs])
+    roots = []
+    for z in candidates:
+        if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
+            continue
+        x = _newton_polish(p, dp, size, float(z.real))
+        if abs(p(x)) <= 1e-11 * _residual_scale(p, x):
+            roots.append(x)
+    roots.sort()
+    deduped = []
+    for x in roots:
+        if deduped and abs(x - deduped[-1]) <= 1e-9 * max(1.0, abs(x), abs(deduped[-1])):
+            continue
+        deduped.append(x)
+    return deduped
+
+
+def _companion_eigenvalues(c) -> np.ndarray:
+    # the companion matrix np.polynomial.polynomial.polycompanion builds,
+    # without its input conversion: c is a tuple of floats, c[-1] != 0
+    d = len(c) - 1
+    m = np.zeros((d, d))
+    m.reshape(-1)[d :: d + 1] = 1.0
+    m[:, -1] -= np.asarray(c[:-1]) / c[-1]
+    return np.linalg.eigvals(m)
+
+
+def _single_positive_root(P: RealPolynomial) -> float:
+    """The positive root of P when its coefficients change sign exactly once.
+
+    Every positive root lies below B = 2 max |c_k / c_d|^(1/(d - k)) over the
+    c_k of sign opposite to c_d (Kioustelidis), and P has the sign of c_d
+    above its root and the opposite sign below, so (0, B) brackets the root.
+    Newton steps that leave the bracket or fail to halve the step before last
+    become bisections.
+    """
+    c = P.coeffs
+    d = len(c) - 1
+    lead = c[-1]
+    opposite = ((k, ck) for k, ck in enumerate(c) if ck != 0 and (ck > 0) != (lead > 0))
+    lo, hi = 0.0, 2.0 * max(abs(ck / lead) ** (1.0 / (d - k)) for k, ck in opposite)
+    dP = P.derivative()
+    size = RealPolynomial([abs(ck) for ck in c])
+    x = hi
+    step = before = hi
+    for _ in range(200):
+        fx = P(x)
+        if (fx > 0) == (lead > 0):
+            hi = x
+        else:
+            lo = x
+        dfx = dP(x)
+        nxt = x - fx / dfx if dfx != 0 else math.nan
+        # P can overflow near B when the root is far out; inf is no floor
+        at_floor = math.isfinite(fx) and abs(fx) <= _ROUNDING_FLOOR * size(x)
+        if not lo <= nxt <= hi or 2.0 * abs(nxt - x) > before:
+            if at_floor:
+                return x
+            nxt = 0.5 * (lo + hi)
+        before, step = step, abs(nxt - x)
+        if at_floor or step <= 1e-15 * max(1.0, nxt):
+            return nxt
+        x = nxt
+    return x
+
+
+def _nonnegative_roots(P: RealPolynomial) -> list:
+    """The real roots of P, of degree >= 3, that can be y >= 0, sorted.
+
+    Descartes's rule of signs on the float coefficients settles P with at
+    most one sign change: none means no positive root, one means exactly one.
+    Otherwise the candidates come from the companion matrix, and only those
+    that can be y >= 0 are polished.
+    """
+    c = P.coeffs
+    signs = [ck > 0 for ck in c if ck != 0]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if changes > 1:
+        candidates = [z for z in _companion_eigenvalues(c) if z.real >= -1e-7 * max(1.0, abs(z))]
+        return _polished_roots(P, candidates)
+    roots = [0.0] if c[0] == 0 else []
+    if changes == 1:
+        roots.append(_single_positive_root(P))
+    return roots
+
+
 def _real_roots(p: RealPolynomial) -> list:
     deg = p.degree
     if deg <= 0:
@@ -150,29 +241,16 @@ def _real_roots(p: RealPolynomial) -> list:
     if not any(c[1::2]):
         # even: p(z) = P(z^2), so solve P at half the degree, then take
         # symmetric square roots of its nonnegative roots
+        P = RealPolynomial(c[::2])
         roots = []
-        for y in _real_roots(RealPolynomial(c[::2])):
+        for y in _real_roots(P) if P.degree <= 2 else _nonnegative_roots(P):
             if y > 0:
                 z = math.sqrt(y)
                 roots.extend([-z, z])
             elif y == 0:
                 roots.append(0.0)
         return sorted(roots)
-    candidates = np.polynomial.polynomial.polyroots(np.asarray(c))
-    roots = []
-    for z in candidates:
-        if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
-            continue
-        x = _newton_polish(p, float(z.real))
-        if abs(p(x)) <= 1e-11 * _residual_scale(p, x):
-            roots.append(x)
-    roots.sort()
-    deduped = []
-    for x in roots:
-        if deduped and abs(x - deduped[-1]) <= 1e-9 * max(1.0, abs(x), abs(deduped[-1])):
-            continue
-        deduped.append(x)
-    return deduped
+    return _polished_roots(p, np.polynomial.polynomial.polyroots(np.asarray(c)))
 
 
 def _root_finding_part(p: RealPolynomial) -> RealPolynomial:

@@ -26,7 +26,13 @@ from chaosrates import (
     swaption_payoff_polynomial,
 )
 from chaosrates.coherent_model import kernel_coefficient
-from chaosrates.polynomial_pricer import _ROUNDING_FLOOR, _newton_polish, _real_roots, _residual_scale
+from chaosrates.polynomial_pricer import (
+    _ROUNDING_FLOOR,
+    _newton_polish,
+    _real_roots,
+    _residual_scale,
+    _root_finding_part,
+)
 from chaosrates.special_functions import gaussian_partial_moments
 from closed_form_cases import (
     biquadratic_positive_part,
@@ -43,6 +49,7 @@ def call_model(n, q_t, q_T):
 
 
 CALL_SPEC = OptionSpec(1.0, 2.0, 0.5)
+ROOT_17 = math.sqrt(0.25 * (math.sqrt(17.0) - 1.0))  # z^2 = y with y^2 + y/2 - 1 = 0
 
 
 class TestSpecValidation:
@@ -517,16 +524,21 @@ class TestEvenPayoffs:
                 assert not any(sens.coeffs[1::2])
 
     @staticmethod
-    def _from_roots(lead, real_pairs, complex_pairs):
+    def _even(P):
+        """p(z) = P(z^2) for the coefficients P of P(y)."""
+        coeffs = [0.0] * (2 * len(P) - 1)
+        coeffs[::2] = P
+        return RealPolynomial(coeffs)
+
+    @classmethod
+    def _from_roots(cls, lead, real_pairs, complex_pairs):
         # lead * prod (z^2 - r^2) * prod (z^2 + s), expanded in y = z^2
         P = RealPolynomial((lead,))
         for r in real_pairs:
             P = P * RealPolynomial((-r * r, 1.0))
         for s in complex_pairs:
             P = P * RealPolynomial((s, 1.0))
-        coeffs = [0.0] * (2 * len(P.coeffs) - 1)
-        coeffs[::2] = P.coeffs
-        return RealPolynomial(coeffs)
+        return cls._even(P.coeffs)
 
     @given(
         st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
@@ -546,15 +558,21 @@ class TestEvenPayoffs:
         if min(b - a for a, b in zip(zs, zs[1:])) > 1e-6:
             assert len(roots) == len(zs)
 
-    def test_even_payoff_solves_half_the_degree(self, monkeypatch):
+    @staticmethod
+    def _record_companions(monkeypatch):
+        """The size of every matrix passed to np.linalg.eigvals, as a list."""
         seen = []
-        polyroots = np.polynomial.polynomial.polyroots
+        eigvals = np.linalg.eigvals
 
-        def recording(c):
-            seen.append(len(c) - 1)
-            return polyroots(c)
+        def recording(m):
+            seen.append(len(m))
+            return eigvals(m)
 
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", recording)
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        return seen
+
+    def test_even_payoff_solves_half_the_degree(self, monkeypatch):
+        seen = self._record_companions(monkeypatch)
         even = call_payoff_polynomial(CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9))
         assert even.degree == 30
         _real_roots(even)
@@ -567,15 +585,53 @@ class TestEvenPayoffs:
         assert _real_roots(odd) == pytest.approx([-3.0, -2.0, 0.5, 1.0], abs=1e-14)
         assert seen == [4]
 
+    @pytest.mark.parametrize(
+        "P, want",
+        [
+            ((1.0, 2.0, 0.5, 3.0), []),
+            ((-1.0, -2.0, 0.0, -4.0, -0.5), []),
+            ((0.0, 1.0, 2.0, 3.0), [0.0]),
+            ((-3.0, 1.0, 1.0, 1.0), [-1.0, 1.0]),
+            ((3.0, 0.0, 0.0, -1.0, -2.0), [-1.0, 1.0]),
+            # a root at y = 0 beside the positive one: y^2 + y/2 - 1 = 0
+            ((0.0, -1.0, 0.5, 1.0), [-ROOT_17, 0.0, ROOT_17]),
+            # one root far out under a tiny leading coefficient: y^3 = 1e12, y^5 = 1e20
+            ((-1.0, 0.0, 0.0, 1e-12), [-100.0, 100.0]),
+            ((-1.0, 0.0, 0.0, 0.0, 0.0, 1e-20), [-100.0, 100.0]),
+            # y = 1e18, and P overflows at the root bound 2e18 (degree 38)
+            ((-1.0,) + (0.0,) * 17 + (-1.0, 1e-18), [-1e9, 1e9]),
+        ],
+    )
+    def test_at_most_one_sign_change_needs_no_companion_matrix(self, monkeypatch, P, want):
+        seen = self._record_companions(monkeypatch)
+        p = self._even(P)
+        assert _root_finding_part(p) == p
+        assert _real_roots(p) == pytest.approx(want, rel=4e-16, abs=0.0)
+        assert seen == []
+
+    @pytest.mark.parametrize("sf", FAMILIES, ids=lambda sf: sf.family)
+    def test_payoffs_settled_by_descartes_build_no_companion_matrix(self, monkeypatch, sf):
+        seen = self._record_companions(monkeypatch)
+        changes_seen = set()
+        for n in (4, 6, 8, 12, 16):
+            model = CoherentModel(n, sf)
+            for t, T in ((1.0, 2.0), (2.0, 6.5)):
+                for strike in (0.3, 0.6, 0.8, 0.9, 0.95, 1.0):
+                    p = call_payoff_polynomial(model, OptionSpec(t, T, strike))
+                    signs = [c > 0 for c in _root_finding_part(p).coeffs[::2] if c != 0]
+                    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+                    changes_seen.add(min(changes, 2))
+                    seen.clear()
+                    price_bond_call(model, OptionSpec(t, T, strike))
+                    assert (seen == []) == (changes <= 1)
+        assert changes_seen == {0, 1, 2}
+
 
 class CountingPolynomial:
     """A RealPolynomial that counts its evaluations."""
 
     def __init__(self, p):
-        self.p, self.coeffs, self.calls = p, p.coeffs, 0
-
-    def derivative(self):
-        return self.p.derivative()
+        self.p, self.calls = p, 0
 
     def __call__(self, x):
         self.calls += 1
@@ -591,7 +647,7 @@ def test_newton_stops_at_the_rounding_floor():
     x = 5.042924790072165
     assert 0.0 < abs(p(x)) <= _ROUNDING_FLOOR * size(abs(x))
     counted = CountingPolynomial(p)
-    root = _newton_polish(counted, x)
+    root = _newton_polish(counted, p.derivative(), size, x)
     assert counted.calls <= 2
     assert abs(p(root)) <= 1e-11 * _residual_scale(p, root)
 
