@@ -135,11 +135,6 @@ def _newton_polish(p: RealPolynomial, dp: RealPolynomial, size: RealPolynomial, 
     return x
 
 
-def _residual_scale(p: RealPolynomial, x: float) -> float:
-    # condition-aware size of p near x: sum of term magnitudes
-    return 1.0 + sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
-
-
 def _polished_roots(p: RealPolynomial, candidates) -> list:
     """Newton-polish the real candidates, keep those p certifies, dedupe."""
     dp = p.derivative()
@@ -149,7 +144,9 @@ def _polished_roots(p: RealPolynomial, candidates) -> list:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
             continue
         x = _newton_polish(p, dp, size, float(z.real))
-        if abs(p(x)) <= 1e-11 * _residual_scale(p, x):
+        # size(|x|), the sum of term magnitudes, is p's condition-aware
+        # scale near x; Horner overflows it to inf where ** would raise
+        if abs(p(x)) <= 1e-11 * (1.0 + size(abs(x))):
             roots.append(x)
     roots.sort()
     deduped = []

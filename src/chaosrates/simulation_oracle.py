@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .coherent_model import CoherentModel, chaos_value, chaos_values, iter_chaos_values, kernel_coefficient
+from .coherent_model import CoherentModel, chaos_value, chaos_values, kernel_coefficient
 from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
 from .polynomial_pricer import BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial
@@ -197,34 +196,52 @@ def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
     """The payoff folded into one chaos-coefficient form before any draw.
 
     pi_t = sum_k w_k (1 - q_t^k) X^(2n-2k) and E_t[pi_T] is the same sum with
-    q_T, so the whole payoff, times n!, is sum_k c_k X^(2n-2k) with c_k =
-    n! w_k sum_legs b (1 - q^k).  Each chunk folds the even orders of one
-    recurrence walk into a single accumulator.
+    q_T, so the whole payoff, times n!, is sum_j c_j X^(2j) with c_j =
+    n! w_(n-j) sum_legs b (1 - q^(n-j)).  Only even orders occur, and with
+    R_t = sqrt(q_t) Z, X^(2j) = q_t^j He_2j(Z) / (2j)!, so each chunk sums
+    a_j He_2j(Z) with a_j = c_j q_t^j / (2j)!, walking the even Hermite
+    polynomials in y = Z^2 (DLMF 18.7.19 in Laguerre form),
+
+        He_2j+2 = (y - 4j - 1) He_2j - 2j (2j - 1) He_2j-2,
+
+    in n - 1 steps over buffers allocated once per price.  A form with no
+    random term (q_t = 0, or every a_j = 0 for j >= 1, as at n = 1) is its
+    X^(0) coefficient, priced with a standard error of 0.0 and no draw.
     """
     n = model.n
     t, weight, legs, clipped = _payoff_legs(payoff)
     q = model.sf.q_at(t)
     levels = [(q, weight)] + [(model.sf.q_at(T), b) for T, b in legs]
     total = sum(b for _, b in levels)
-    # even[j] is the coefficient of X^(2j); n! w_k is exact before rounding,
-    # and sum b (1 - q^k) is summed as total - sum b q^k, so nearby levels
-    # cancel in q^k, not in 1 - q^k
-    even = [
-        float(math.factorial(n) * kernel_coefficient(n, k)) * (total - sum(b * q_T**k for q_T, b in levels))
-        for k in range(n, 0, -1)
+    # n! w_k is exact before rounding, and sum b (1 - q^k) is summed as
+    # total - sum b q^k, so nearby levels cancel in q^k, not in 1 - q^k
+    a = [
+        float(math.factorial(n) * kernel_coefficient(n, n - j))
+        * (total - sum(b * q_T ** (n - j) for q_T, b in levels))
+        * q**j
+        / math.factorial(2 * j)
+        for j in range(n)
     ]
-    if q == 0:  # no variance by t: R_t = 0, and only X^(0) = 1 survives
-        return (max(even[0], 0.0) if clipped else even[0]), 0.0
-    sd = math.sqrt(q)
-    draws, acc, prod = np.empty((3, min(samples, MC_CHUNK)))
+    if not any(a[1:]):
+        return (max(a[0], 0.0) if clipped else a[0]), 0.0
+    y, acc, prev, cur, tmp = np.empty((5, min(samples, MC_CHUNK)))
 
     def chunk_values(size):
-        r = rng.standard_normal(out=draws[:size])
-        r *= sd
-        out, tmp = acc[:size], prod[:size]
-        out.fill(even[0])
-        for c, x in zip(even[1:], islice(iter_chaos_values(2 * n - 2, r, q), 2, None, 2)):
-            out += np.multiply(x, c, out=tmp)
+        z = rng.standard_normal(out=y[:size])
+        np.multiply(z, z, out=z)
+        out, h_prev, h_cur, work = acc[:size], prev[:size], cur[:size], tmp[:size]
+        h_prev.fill(1.0)
+        np.subtract(z, 1.0, out=h_cur)
+        np.multiply(h_cur, a[1], out=out)
+        out += a[0]
+        for j in range(1, n - 1):
+            # h_prev becomes He_2j+2, then the two swap names
+            np.subtract(z, 4 * j + 1, out=work)
+            work *= h_cur
+            h_prev *= 2 * j * (2 * j - 1)
+            np.subtract(work, h_prev, out=h_prev)
+            h_prev, h_cur = h_cur, h_prev
+            out += np.multiply(h_cur, a[j + 1], out=work)
         if clipped:
             np.maximum(out, 0.0, out=out)
         return out

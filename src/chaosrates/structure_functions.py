@@ -111,10 +111,10 @@ class PiecewiseConstantDensity(StructureFunction):
         mass = sum(v * w for v, w in zip(values, lengths))
         if not mass > 0:
             raise ValueError("density must have positive total mass")
-        scale = 1.0 / mass
+        # divide by the mass: its reciprocal overflows for a subnormal mass
         object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", tuple(v * scale for v in values))
-        object.__setattr__(self, "normalisation_scale", scale)
+        object.__setattr__(self, "values", tuple(v / mass for v in values))
+        object.__setattr__(self, "normalisation_scale", 1.0 / mass)
 
     def q_at(self, t):
         _check_time(t)

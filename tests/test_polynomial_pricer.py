@@ -30,7 +30,6 @@ from chaosrates.polynomial_pricer import (
     _ROUNDING_FLOOR,
     _newton_polish,
     _real_roots,
-    _residual_scale,
     _root_finding_part,
 )
 from chaosrates.special_functions import gaussian_partial_moments
@@ -50,6 +49,11 @@ def call_model(n, q_t, q_T):
 
 CALL_SPEC = OptionSpec(1.0, 2.0, 0.5)
 ROOT_17 = math.sqrt(0.25 * (math.sqrt(17.0) - 1.0))  # z^2 = y with y^2 + y/2 - 1 = 0
+
+
+def term_magnitude(p, x):
+    """1 + sum |c_k| |x|^k: the scale of p's rounding error near x."""
+    return 1.0 + RealPolynomial([abs(c) for c in p.coeffs])(abs(x))
 
 
 class TestSpecValidation:
@@ -115,6 +119,13 @@ class TestExpectedPositivePart:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             expected_positive_part(RealPolynomial((0.0,) * 31 + (1.0,)))
+
+    def test_far_root_at_the_degree_cap_is_finite(self):
+        # roots near 0.41 and 2e11: |x|**30 overflows a float power there,
+        # so the certificate must not raise OverflowError
+        res = expected_positive_part(RealPolynomial([1.0] + [0.0] * 28 + [-2e11, 1.0]))
+        assert math.isfinite(res.value) and res.value > 0.0
+        assert res.roots[-1] == pytest.approx(2e11, rel=1e-12)
 
     # coefficients either zero or well scaled; near-denormal leading terms
     # put roots past 1e200 where float evaluation is meaningless
@@ -553,7 +564,7 @@ class TestEvenPayoffs:
         roots = _real_roots(p)
         assert roots == sorted(-x for x in roots)
         for x in roots:
-            assert abs(p(x)) <= 1e-11 * _residual_scale(p, x)
+            assert abs(p(x)) <= 1e-11 * term_magnitude(p, x)
         zs = sorted([-r for r in real_pairs] + real_pairs)
         if min(b - a for a, b in zip(zs, zs[1:])) > 1e-6:
             assert len(roots) == len(zs)
@@ -649,7 +660,7 @@ def test_newton_stops_at_the_rounding_floor():
     counted = CountingPolynomial(p)
     root = _newton_polish(counted, p.derivative(), size, x)
     assert counted.calls <= 2
-    assert abs(p(root)) <= 1e-11 * _residual_scale(p, root)
+    assert abs(p(root)) <= 1e-11 * term_magnitude(p, root)
 
 
 class TestNearZeroExpiry:

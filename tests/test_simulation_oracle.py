@@ -27,17 +27,28 @@ from chaosrates import (
     quadrature_price,
     simulate_chaos_sde,
 )
-from chaosrates.coherent_model import chaos_values
+from chaosrates.coherent_model import chaos_values, kernel_coefficient
 from chaosrates.incoherent_model import (
     _banded_projection,
     accumulated_gram_matrix,
     multi_state_at,
     residual_gram_matrix,
 )
-from chaosrates.simulation_oracle import MC_CHUNK, _incoherent_form
+from chaosrates.simulation_oracle import MC_CHUNK, _incoherent_form, _payoff_legs
 
 SF = ExponentialDensity(0.7)
 ORDER_TWO = CoherentModel(2, SF)
+
+
+class DrawCounter:
+    """A Generator stand-in that counts its standard_normal calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
 
 
 class TestAdaptiveSimpson:
@@ -218,14 +229,25 @@ class TestChunkedMonteCarlo:
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
-    def test_coherent_call_matches_one_shot_draw(self):
-        model, spec, seed = CoherentModel(3, SF), OptionSpec(1.0, 2.0, 0.55), 21
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 20])
+    def test_coherent_call_matches_one_shot_draw(self, n):
+        # n! (N_T - K N_t) summed term by term over one full-size chaos_values
+        # draw; cancellation between the terms grows with n, so the bound is
+        # set by the mean summed term magnitude, not by the price
+        model, strike, seed = CoherentModel(n, SF), 0.55, 21
         q_t, q_T = SF.q_at(1.0), SF.q_at(2.0)
         r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
-        numer = kernel_polynomial(3, q_t, q_T)(r)
-        pi = kernel_polynomial(3, q_t, q_t)(r)
-        want = self._mean_and_error(6.0 * np.maximum(numer - 0.55 * pi, 0.0))
-        self._assert_close(mc_price(model, spec, self.SAMPLES, seed), want)
+        xs = chaos_values(2 * n - 2, r, q_t)
+        terms = [
+            math.factorial(n) * float(kernel_coefficient(n, k)) * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) * xs[2 * n - 2 * k]
+            for k in range(1, n + 1)
+        ]
+        want = self._mean_and_error(np.maximum(sum(terms), 0.0))
+        tol = 1e-13 * float(np.mean(sum(np.abs(x) for x in terms)))
+        got = mc_price(model, OptionSpec(1.0, 2.0, strike), self.SAMPLES, seed)
+        assert want[0] > 0.0
+        assert got[0] == pytest.approx(want[0], rel=0.0, abs=tol)
+        assert got[1] == pytest.approx(want[1], rel=0.0, abs=tol)
 
     def test_coherent_swaption_matches_one_shot_draw(self):
         spec, seed = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05), 22
@@ -243,6 +265,35 @@ class TestChunkedMonteCarlo:
         r = math.sqrt(q_T) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
         want = self._mean_and_error(6.0 * kernel_polynomial(3, q_T, q_T)(r))
         self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
+
+    @pytest.mark.parametrize(
+        "model, payoff",
+        [
+            (CoherentModel(1, SF), OptionSpec(1.0, 2.0, 0.55)),
+            (CoherentModel(1, SF), SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05)),
+            (CoherentModel(1, SF), BondSpec(2.0)),
+            # no variance accrues before the first atom: q_t = 0
+            (CoherentModel(3, DiscreteAtoms((1.5, 2.0), (0.6, 0.4))), OptionSpec(1.0, 1.5, 0.5)),
+        ],
+        ids=["n1-call", "n1-swaption", "n1-bond", "zero-bracket-call"],
+    )
+    def test_payoff_without_random_term_draws_nothing(self, monkeypatch, model, payoff):
+        # the folded form is its X^(0) coefficient: the payoff at time-0
+        # bond prices (n! pi_0 = 1)
+        t, weight, legs, clipped = _payoff_legs(payoff)
+        value = weight * initial_bond_price(model, t) + sum(b * initial_bond_price(model, T) for T, b in legs)
+        counter = DrawCounter(1)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
+        est, se = mc_price(model, payoff, self.SAMPLES, 1)
+        assert counter.calls == 0
+        assert se == 0.0
+        assert est == pytest.approx(max(value, 0.0) if clipped else value, rel=1e-14)
+
+    def test_coherent_price_draws_once_per_chunk(self, monkeypatch):
+        counter = DrawCounter(1)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
+        mc_price(ORDER_TWO, OptionSpec(1.0, 2.0, 0.55), self.SAMPLES, 1)
+        assert counter.calls == 3
 
     def _incoherent_one_shot(self, model, payoff, seed):
         """The payoff per unit of pi_0 from one full-size draw, each bond

@@ -39,6 +39,23 @@ def test_hermite_coefficients_are_exact_integers():
         assert all(isinstance(c, int) for c in hermite(n).coeffs)
 
 
+def test_even_hermite_recurrence_in_the_square():
+    # He_2j(z) = P_j(z^2) with P_j+1 = (y - 4j - 1) P_j - 2j (2j - 1) P_j-1
+    # and P_0 = 1, the walk of the coherent MC oracle; integers throughout
+    prev, cur = [0], [1]
+    for j in range(21):
+        even = hermite(2 * j).coeffs
+        assert all(isinstance(c, int) for c in cur)
+        assert list(even[::2]) == cur
+        assert not any(even[1::2])
+        nxt = [0] + cur
+        for k, c in enumerate(cur):
+            nxt[k] -= (4 * j + 1) * c
+        for k, c in enumerate(prev):
+            nxt[k] -= 2 * j * (2 * j - 1) * c
+        prev, cur = cur, nxt
+
+
 @given(st.integers(min_value=1, max_value=12), st.floats(-8, 8))
 def test_hermite_three_term_recurrence(n, x):
     lhs = hermite(n + 1)(x)

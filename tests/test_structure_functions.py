@@ -44,6 +44,13 @@ class TestPiecewiseConstantDensity:
         assert sf.q_at(3.0) == pytest.approx(1.0, abs=1e-15)
         assert sf.normalisation_scale == pytest.approx(1.0 / 6.0)
 
+    def test_subnormal_mass_renormalises(self):
+        # 1 / 5e-324 overflows to inf; the values are divided by the mass
+        sf = PiecewiseConstantDensity((1.0, 2.0), (0.0, 5e-324))
+        assert sf.values == (0.0, 1.0)
+        assert sf.q_at(0.5) == 0.0
+        assert sf.q_at(1.5) == 0.5
+
     def test_unit_at_and_beyond_support(self):
         sf = PiecewiseConstantDensity((2.0, 5.0), (1.0, 1.0))
         # exactly 1.0, not merely close: the tails must carry zero variance
