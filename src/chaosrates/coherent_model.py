@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .special_functions import RealPolynomial
 from .structure_functions import GaussianState, StructureFunction
@@ -159,10 +160,11 @@ def even_chaos_polynomial(n: int, coeffs, q: float) -> RealPolynomial:
     rounding of a per-k sum of c * chaos_polynomial(2n - 2k, q).
     """
     out = [0.0] * (2 * n - 1)
+    q_powers = [q**p for p in range(n)]
     for k, c in enumerate(coeffs, 1):
         if c != 0.0:
             for a, i, p in _chaos_terms(2 * n - 2 * k):
-                out[i] += c * (a * q**p)
+                out[i] += c * (a * q_powers[p])
     return RealPolynomial(out)
 
 
@@ -180,21 +182,23 @@ def kernel_sums(n: int, xs, levels) -> list:
     """sum_{k=1..n} w_k (1 - q^k) X^(2n-2k) at each bracket level q.
 
     xs yields X^(0), X^(1), ... (a chaos_values list or iter_chaos_values)
-    and is read once, each even order folded into one running sum per level,
-    so a generator keeps memory independent of n.  Levels may be arrays that
-    broadcast against the chaos values.
+    and is read once up to X^(2n-2), each even order X^(2n-2k) folded into
+    one running sum per level, so a generator keeps memory independent of n.
+    Levels may be arrays that broadcast against the chaos values; an array
+    sum is a fresh array from its first term on and is added to in place.
     """
     w = _kernel_weights(n)
     accs = [0.0] * len(levels)
-    for j, x in enumerate(xs):
-        if j % 2 == 0 and j <= 2 * n - 2:
-            k = n - j // 2
-            accs = [acc + w[k - 1] * (1.0 - q**k) * x for acc, q in zip(accs, levels)]
+    for k, x in zip(range(n, 0, -1), islice(xs, 0, 2 * n - 1, 2)):
+        for i, q in enumerate(levels):
+            accs[i] += w[k - 1] * (1.0 - q**k) * x
     return accs
 
 
 def _positive_kernel(n: int, xs, q: float, what: str) -> float:
     (pi,) = kernel_sums(n, xs, (q,))
+    if not math.isfinite(pi):
+        raise ValueError(f"pricing kernel is not finite at this state; {what} undefined")
     if pi <= 0:
         raise ValueError(f"pricing kernel is not positive at this state; {what} undefined")
     return pi

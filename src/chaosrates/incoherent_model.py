@@ -89,6 +89,7 @@ class MultiGaussianState:
         if self.t < 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
         values = tuple(float(v) for v in self.values)
+        check_finite("time and driver values", (self.t, *values))
         brackets = tuple(float(q) for q in self.brackets)
         gram = tuple(tuple(float(g) for g in row) for row in self.residual_gram)
         m = len(values)
@@ -98,11 +99,16 @@ class MultiGaussianState:
             raise ValueError("brackets must lie in [0, 1]")
         if self.t == 0 and any(v != 0 for v in values):
             raise ValueError("at t = 0 all driver values must be zero")
-        g = np.asarray(gram)
-        if not np.allclose(g, g.T, atol=1e-12):
+        # |g_ij - g_ji| <= 1e-12 + 1e-5 |g_ji| over every ordered (i, j), in
+        # floats: a NaN entry fails every comparison it enters, and an
+        # infinite one fails (j, i) against a finite g_ij, or gives inf - inf
+        if not all(
+            abs(gram[i][j] - gram[j][i]) <= 1e-12 + 1e-5 * abs(gram[j][i]) for i in range(m) for j in range(m)
+        ):
             raise ValueError("residual Gram matrix must be symmetric")
-        if any(abs(g[i, i] - (1.0 - brackets[i])) > 1e-8 for i in range(m)):
+        if any(abs(gram[i][i] - (1.0 - brackets[i])) > 1e-8 for i in range(m)):
             raise ValueError("residual Gram diagonal must equal 1 - Q_i")
+        g = np.asarray(gram)
         if m and np.linalg.eigvalsh(g).min() < -1e-10 * max(1.0, float(np.trace(g))):
             raise ValueError("residual Gram matrix must be positive semidefinite")
         object.__setattr__(self, "values", values)
@@ -200,6 +206,8 @@ def incoherent_bond_price(model: IncoherentModel, state: MultiGaussianState, mat
     if maturity < state.t:
         raise ValueError(f"maturity {maturity} precedes state time {state.t}")
     _, pi_t, numer = _kernel_and_numerator(model, state, maturity)
+    if not math.isfinite(pi_t):
+        raise ValueError("pricing kernel is not finite at this state; bond price undefined")
     if pi_t <= 0:
         raise ValueError("pricing kernel is not positive at this state; bond price undefined")
     return numer / pi_t

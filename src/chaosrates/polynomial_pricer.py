@@ -13,7 +13,9 @@ maps each y > 0 to the pair +-sqrt(y).  Above degree 2, Descartes's rule of
 signs on P's float coefficients settles most payoffs: no sign change means
 no positive root, one means exactly one, found by Newton-bisection inside a
 root bound.  Only P with two or more sign changes needs the companion
-matrix, of degree n - 1, not 2n - 2.
+matrix, of degree n - 1, not 2n - 2.  The moment sum of an even p reads
+only its even moments, and call_delta reuses the payoff's exercise
+intervals without summing the payoff's own moments.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent_model import CoherentModel, _kernel_weights, even_chaos_polynomial
-from .special_functions import RealPolynomial, gaussian_partial_moments
+from .special_functions import RealPolynomial, _even_partial_moments, gaussian_partial_moments
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
@@ -218,7 +220,7 @@ def _nonnegative_roots(P: RealPolynomial) -> list:
     signs = [ck > 0 for ck in c if ck != 0]
     changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes > 1:
-        candidates = [z for z in _companion_eigenvalues(c) if z.real >= -1e-7 * max(1.0, abs(z))]
+        candidates = [z for z in _companion_eigenvalues(c).tolist() if z.real >= -1e-7 * max(1.0, abs(z))]
         return _polished_roots(P, candidates)
     roots = [0.0] if c[0] == 0 else []
     if changes == 1:
@@ -262,7 +264,7 @@ def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
     the whole range.  Only the roots are found from this part; signs and
     moments use every coefficient of p.
     """
-    terms = [abs(c) * _DENSITY_REACH**k for k, c in enumerate(p.coeffs)]
+    terms = [abs(c) * _DENSITY_REACH**k if c != 0.0 else 0.0 for k, c in enumerate(p.coeffs)]
     deg = len(terms) - 1
     while deg > 0 and terms[deg] < sys.float_info.epsilon * sum(terms[:deg]):
         deg -= 1
@@ -279,26 +281,45 @@ def _interior_point(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def expected_positive_part(p: RealPolynomial) -> PositivePartResult:
-    """E[(p(Z))+] for standard normal Z, by root isolation plus moments."""
+def _exercise_region(p: RealPolynomial) -> tuple:
+    """(roots, intervals): the real roots of p and the intervals they cut
+    where p > 0, empty for the zero polynomial."""
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree {p.degree} exceeds the supported maximum {MAX_DEGREE}")
     if p.is_zero:
-        return PositivePartResult(0.0, p, (), ())
+        return (), ()
     roots = _real_roots(_root_finding_part(p))
     cuts = [-math.inf] + roots + [math.inf]
     intervals = tuple(
         (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if p(_interior_point(lo, hi)) > 0
     )
+    return tuple(roots), intervals
+
+
+def _moment_sum(c: tuple, intervals) -> float:
+    """sum_k c_k M_k(lo, hi) summed over the intervals.
+
+    With every odd c_k exactly zero (an even payoff) only the even moments
+    are formed: the odd terms are +-0.0 and leave the sum unchanged.
+    """
+    if any(c[1::2]):
+        moments = gaussian_partial_moments
+    else:
+        c, moments = c[::2], _even_partial_moments
     value = 0.0
     for lo, hi in intervals:
-        moments = gaussian_partial_moments(p.degree, lo, hi)
-        value += sum(c * m for c, m in zip(p.coeffs, moments))
+        value += sum(ck * m for ck, m in zip(c, moments(len(c) - 1, lo, hi)))
+    return value
+
+
+def expected_positive_part(p: RealPolynomial) -> PositivePartResult:
+    """E[(p(Z))+] for standard normal Z, by root isolation plus moments."""
+    roots, intervals = _exercise_region(p)
     return PositivePartResult(
-        value=max(value, 0.0),
+        value=max(_moment_sum(p.coeffs, intervals), 0.0),
         payoff_polynomial=p,
         positive_intervals=intervals,
-        roots=tuple(roots),
+        roots=roots,
     )
 
 
@@ -313,19 +334,23 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
     q_T = model.sf.q_at(spec.bond_maturity)
     if q_t == 0:
         raise ValueError("no variance accrues by option expiry; the payoff is deterministic")
-    n = model.n
+    return _call_payoff(model.n, spec.strike, q_t, q_T)
+
+
+def _call_payoff(n: int, strike: float, q_t: float, q_T: float) -> RealPolynomial:
+    # the call payoff polynomial from brackets already read, Q_t > 0
     w = _kernel_weights(n)
-    coeffs = [w[k - 1] * ((1.0 - q_T**k) - spec.strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
+    coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
     return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
     """Time-0 price of a call on a discount bond, normalised by pi_0."""
     q_t = model.sf.q_at(spec.option_maturity)
+    q_T = model.sf.q_at(spec.bond_maturity)
     if q_t == 0:
-        q_T = model.sf.q_at(spec.bond_maturity)
         return max((1.0 - q_T**model.n) - spec.strike, 0.0)
-    p = call_payoff_polynomial(model, spec)
+    p = _call_payoff(model.n, spec.strike, q_t, q_T)
     return math.factorial(model.n) * expected_positive_part(p).value
 
 
@@ -334,7 +359,8 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
 
     Differentiates the moment representation directly; boundary terms vanish
     because the payoff polynomial is zero at every interval endpoint, so only
-    the coefficient sensitivities survive.
+    the coefficient sensitivities survive.  The payoff supplies its roots and
+    exercise intervals only; its own moment sum, the price, is never formed.
     """
     n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
@@ -344,8 +370,8 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    res = expected_positive_part(call_payoff_polynomial(model, spec))
-    for r in res.roots:
+    roots, intervals = _exercise_region(_call_payoff(n, spec.strike, q_t, q_T))
+    for r in roots:
         if abs(r) <= 1e-9:
             raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     # dQ_T/dP(0,T) = -1 / (n Q_T^(n-1)); chain rule through each coefficient
@@ -353,11 +379,7 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
     w = _kernel_weights(n)
     coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
     sens = even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
-    val = 0.0
-    for lo, hi in res.positive_intervals:
-        moments = gaussian_partial_moments(sens.degree, lo, hi)
-        val += sum(c * m for c, m in zip(sens.coeffs, moments))
-    return math.factorial(n) * val
+    return math.factorial(n) * _moment_sum(sens.coeffs, intervals)
 
 
 def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> RealPolynomial:

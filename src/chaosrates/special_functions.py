@@ -100,8 +100,8 @@ class RealPolynomial:
         return RealPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def scale_argument(self, s) -> "RealPolynomial":
-        """Return the polynomial q with q(x) = p(s*x)."""
-        return RealPolynomial([c * s**k for k, c in enumerate(self.coeffs)])
+        """Return the polynomial q with q(x) = p(s*x); exact-zero coefficients stay as they are."""
+        return RealPolynomial([c * s**k if c != 0.0 else c for k, c in enumerate(self.coeffs)])
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +174,23 @@ def gaussian_partial_moments(k_max: int, a: float, b: float) -> list[float]:
         lo = a ** (k - 1) * pa if pa != 0.0 else 0.0
         hi = b ** (k - 1) * pb if pb != 0.0 else 0.0
         out.append((k - 1) * out[k - 2] + lo - hi)
+    return out
+
+
+def _even_partial_moments(j_max: int, a: float, b: float) -> list[float]:
+    """M_0(a,b), M_2(a,b), .., M_{2 j_max}(a,b): the even entries of
+    gaussian_partial_moments(2 j_max, a, b), bit for bit.
+
+    M_2j reads only M_2j-2, so the odd moments are never formed.
+    """
+    if math.isnan(a) or math.isnan(b) or a > b:
+        raise ValueError(f"invalid integration interval [{a}, {b}]")
+    pa, pb = normal_pdf(a), normal_pdf(b)
+    out = [normal_cdf(b) - normal_cdf(a)]
+    for k in range(2, 2 * j_max + 1, 2):
+        lo = a ** (k - 1) * pa if pa != 0.0 else 0.0
+        hi = b ** (k - 1) * pb if pb != 0.0 else 0.0
+        out.append((k - 1) * out[-1] + lo - hi)
     return out
 
 

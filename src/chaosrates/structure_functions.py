@@ -202,6 +202,7 @@ class GaussianState:
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError(f"time must be nonnegative, got {self.t}")
+        check_finite("time and driver value R", (self.t, self.R))
         if not 0 <= self.Q <= 1:
             raise ValueError(f"Q must lie in [0, 1], got {self.Q}")
         if self.t == 0 and (self.R != 0 or self.Q != 0):

@@ -24,7 +24,14 @@ from chaosrates import (
     short_rate,
     state_at,
 )
-from chaosrates.coherent_model import _chaos_terms, from_descriptor, rate_coefficient, to_descriptor
+from chaosrates.coherent_model import (
+    _chaos_terms,
+    from_descriptor,
+    iter_chaos_values,
+    kernel_sums,
+    rate_coefficient,
+    to_descriptor,
+)
 from support import per_k_chaos_sum, scaled_hermite_chaos
 
 SF = ExponentialDensity(0.1)
@@ -173,6 +180,51 @@ def test_kernel_is_strictly_positive_before_exhaustion(n, r, q):
     # (1-q)^5/5! ~ 8e-13, still far above summation roundoff
     pi = kernel_polynomial(n, q, q)(r)
     assert pi > 0.0
+
+
+@given(
+    st.integers(1, 12),
+    st.floats(-4.0, 4.0),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+@settings(max_examples=200)
+def test_kernel_sums_equal_one_list_per_order(n, r, q, levels):
+    """kernel_sums on scalars and on broadcast arrays, bit for bit the sums
+    rebuilt as a fresh list at each even order."""
+
+    def one_list_per_order(xs, levels):
+        accs = [0.0] * len(levels)
+        for j, x in enumerate(xs):
+            if j % 2 == 0 and j <= 2 * n - 2:
+                k = n - j // 2
+                w = float(kernel_coefficient(n, k))
+                accs = [acc + w * (1.0 - lv**k) * x for acc, lv in zip(accs, levels)]
+        return accs
+
+    xs = chaos_values(2 * n - 2, r, q)
+    assert kernel_sums(n, xs, levels) == one_list_per_order(xs, levels)
+    assert kernel_sums(n, iter_chaos_values(2 * n - 2, r, q), levels) == one_list_per_order(xs, levels)
+    rs = np.array([[r, -r, 0.5 * r], [0.0, 2.0 * r, -1.5]])
+    qs = np.array([q, 0.5 * q, q * q])
+    array_levels = (qs, *levels)
+    got = kernel_sums(n, iter_chaos_values(2 * n - 2, rs, qs), array_levels)
+    want = one_list_per_order(chaos_values(2 * n - 2, rs, qs), array_levels)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_overflowing_kernel_raises_instead_of_nan():
+    # at n = 3, X^(4) ~ R^4 / 24 overflows for R = 1e100: the kernel is inf
+    model = CoherentModel(3, SF)
+    state = state_at(SF, 1.0, 1e100)
+    assert pricing_kernel(model, state) == math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        bond_price(model, state, 2.0)
+    with pytest.raises(ValueError, match="not finite"):
+        short_rate(model, state)
+    with pytest.raises(ValueError, match="not finite"):
+        risk_premium(model, state)
 
 
 class TestBondPrices:

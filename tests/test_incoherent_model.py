@@ -113,9 +113,30 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             MultiGaussianState(0.0, (0.3,), (0.0,), ((1.0,),))
 
-    def test_asymmetric_gram(self):
-        with pytest.raises(ValueError):
-            MultiGaussianState(1.0, (0.0, 0.0), (0.3, 0.4), ((0.7, 0.2), (0.1, 0.6)))
+    @pytest.mark.parametrize(
+        "g01, g10",
+        [
+            (0.2, 0.1),
+            (math.nan, 0.1),
+            (0.1, math.nan),
+            (math.nan, math.nan),
+            (math.inf, 0.1),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+        ],
+    )
+    def test_asymmetric_gram(self, g01, g10):
+        with pytest.raises(ValueError, match="symmetric"):
+            MultiGaussianState(1.0, (0.0, 0.0), (0.3, 0.4), ((0.7, g01), (g10, 0.6)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time_or_driver_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MultiGaussianState(1.0, (0.1, bad), (0.3, 0.4), self.good_gram(0.3, 0.4, 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            multi_state_at(EQUAL_ORDER, 1.0, (bad, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            MultiGaussianState(abs(bad), (0.1, 0.0), (0.3, 0.4), self.good_gram(0.3, 0.4, 0.1))
 
     def test_diagonal_must_match_brackets(self):
         with pytest.raises(ValueError):
@@ -348,6 +369,12 @@ class TestBondPrices:
         st_eq = multi_state_at(EQUAL_ORDER, 1.0, (0.3, -0.4))
         with pytest.raises(ValueError):
             incoherent_bond_price(EQUAL_ORDER, st_eq, 0.5)
+
+    def test_overflowing_kernel_raises_instead_of_nan(self):
+        # the order-3 term's X^(2) ~ R^2 / 2 squares past the float range
+        state = multi_state_at(MIXED, 1.0, (0.0, 1e100))
+        with pytest.raises(ValueError, match="not finite"):
+            incoherent_bond_price(MIXED, state, 2.0)
 
     def test_mixed_initial_curve_identity(self):
         # at time zero the curve reduces to a weight-squared blend of the

@@ -368,11 +368,20 @@ class TestCallDelta:
 class TestPayoffBuildersMatchPerKSums:
     """Each builder equals, bit for bit, its payoff added up one
     chaos_polynomial per k, so every analytic price and delta is the one a
-    per-k accumulation gives."""
+    per-k accumulation summed over every moment, odd ones included, gives."""
 
     @staticmethod
     def _weights(n):
         return [float(kernel_coefficient(n, k)) for k in range(1, n + 1)]
+
+    @staticmethod
+    def _all_moments_sum(p, intervals):
+        # sum_k c_k M_k over the intervals, odd moments of an even p included
+        total = 0.0
+        for lo, hi in intervals:
+            moments = gaussian_partial_moments(p.degree, lo, hi)
+            total += sum(c * m for c, m in zip(p.coeffs, moments))
+        return total
 
     @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
     @settings(max_examples=100, deadline=None)
@@ -383,6 +392,9 @@ class TestPayoffBuildersMatchPerKSums:
         coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
         payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
         assert call_payoff_polynomial(model, spec).coeffs == payoff.coeffs
+        intervals = expected_positive_part(payoff).positive_intervals
+        price = max(self._all_moments_sum(payoff, intervals), 0.0)
+        assert price_bond_call(model, spec) == math.factorial(n) * price
         try:
             delta = call_delta(model, spec)
         except ValueError as e:  # a payoff root at the origin
@@ -391,11 +403,7 @@ class TestPayoffBuildersMatchPerKSums:
         denom = n * q_T ** (n - 1)
         sens_coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
         sens = per_k_chaos_sum(n, sens_coeffs, q_t).scale_argument(math.sqrt(q_t))
-        want = 0.0
-        for lo, hi in expected_positive_part(payoff).positive_intervals:
-            moments = gaussian_partial_moments(sens.degree, lo, hi)
-            want += sum(c * m for c, m in zip(sens.coeffs, moments))
-        assert delta == math.factorial(n) * want
+        assert delta == math.factorial(n) * self._all_moments_sum(sens, intervals)
 
     @given(
         st.integers(1, 16),

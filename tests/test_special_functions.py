@@ -16,6 +16,7 @@ from chaosrates import (
     normal_cdf,
     normal_pdf,
 )
+from chaosrates.special_functions import _even_partial_moments
 
 # first few probabilists' polynomials, coefficients in increasing degree
 KNOWN_HERMITE = {
@@ -154,6 +155,17 @@ def test_partial_moments_against_quadrature(lo, hi):
             min(hi, 40.0),
         )
         assert got == pytest.approx(want, abs=max(1e-11, 10 * err))
+
+
+@given(
+    st.integers(0, 15),
+    st.floats(-12, 12) | st.just(-math.inf),
+    st.floats(-12, 12) | st.just(math.inf),
+)
+@settings(max_examples=200)
+def test_even_partial_moments_are_the_even_entries_bit_for_bit(j, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert _even_partial_moments(j, lo, hi) == gaussian_partial_moments(2 * j, lo, hi)[::2]
 
 
 def test_full_line_moments_are_gaussian_moments():

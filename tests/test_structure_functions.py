@@ -117,6 +117,15 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(1.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time_or_driver_value(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(1.0, r, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            state_at(ExponentialDensity(0.2), 1.0, r)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(abs(r), 0.0, 0.3)
+
     def test_time_zero_is_the_origin(self):
         with pytest.raises(ValueError):
             GaussianState(0.0, 0.3, 0.0)
