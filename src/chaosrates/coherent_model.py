@@ -205,9 +205,14 @@ def _positive_kernel(n: int, xs, q: float, what: str) -> float:
 
 
 def pricing_kernel(model: CoherentModel, state: GaussianState) -> float:
-    """Kernel level pi_t at the state; kernel_polynomial gives it as a polynomial in R_t."""
+    """Kernel level pi_t at the state; kernel_polynomial gives it as a polynomial in R_t.
+
+    Raises OverflowError when pi_t lies beyond the float range.
+    """
     n = model.n
     (pi,) = kernel_sums(n, chaos_values(2 * n - 2, state.R, state.Q), (state.Q,))
+    if not math.isfinite(pi):
+        raise OverflowError("pricing kernel lies beyond the float range at this state")
     return pi
 
 

@@ -193,6 +193,8 @@ def incoherent_kernel(model: IncoherentModel, state: MultiGaussianState) -> floa
     Raises OverflowError when pi_t lies beyond the float range.
     """
     e, pi_t, _ = _kernel_and_numerator(model, state)
+    if not math.isfinite(pi_t):  # ldexp raises only on a finite overflow
+        raise OverflowError("pricing kernel lies beyond the float range at this state")
     return math.ldexp(pi_t, 2 * e)
 
 

@@ -16,6 +16,11 @@ root bound.  Only P with two or more sign changes needs the companion
 matrix, of degree n - 1, not 2n - 2.  The moment sum of an even p reads
 only its even moments, and call_delta reuses the payoff's exercise
 intervals without summing the payoff's own moments.
+
+Before any root is sought, calls and swaptions try a sign certificate.
+Each payoff is a sum of squares p = sum_{m<n} c_m (X^(m))^2, and when every
+c_m has one sign, so has p on the whole line: the exercise region is then
+empty or the whole line, read from the brackets in O(1) or O(dates).
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ _ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 # the standard normal density underflows to zero beyond |z| ~ 38.6, so a
 # term of p too small to move it anywhere on |z| <= 40 cannot move a price
 _DENSITY_REACH = 40.0
+
+# the exercise intervals of a payoff certified positive everywhere
+_WHOLE_LINE = ((-math.inf, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -344,14 +352,50 @@ def _call_payoff(n: int, strike: float, q_t: float, q_T: float) -> RealPolynomia
     return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
 
 
+def _check_degree(n: int) -> None:
+    # the cap _exercise_region enforces, checked before any certificate so
+    # that a certified contract above it is refused like any other
+    if 2 * n - 2 > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {2 * n - 2} exceeds the supported maximum {MAX_DEGREE}")
+
+
+def _call_certificate(n: int, strike: float, q_t: float, q_T: float):
+    """The call's exercise intervals when the brackets settle them, else None.
+
+    The payoff is sum_{m<n} c_m (X^(m))^2 with c_m = ((1 - K) g^N - h^N) / N!,
+    N = n - m, g = 1 - Q_t and h = Q_T - Q_t <= g.  The sign of c_m is that
+    of (1 - K) - (h / g)^N, which increases with N: c_m < 0 for every m when
+    it holds at N = n, and c_m > 0 for every m when it holds at N = 1.  The
+    tests are strict, so a certified payoff has no root.
+    """
+    _check_degree(n)
+    g, h = 1.0 - q_t, q_T - q_t
+    if (1.0 - strike) * g**n < h**n:
+        return ()
+    if (1.0 - strike) * g > h:
+        return _WHOLE_LINE
+    return None
+
+
+def _price(n: int, p: RealPolynomial, intervals) -> float:
+    """n! E[(p(Z))+] over certified intervals, or by expected_positive_part
+    when the certificate left them open (None)."""
+    if intervals is None:
+        return math.factorial(n) * expected_positive_part(p).value
+    return math.factorial(n) * max(_moment_sum(p.coeffs, intervals), 0.0)
+
+
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
     """Time-0 price of a call on a discount bond, normalised by pi_0."""
+    n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
     q_T = model.sf.q_at(spec.bond_maturity)
     if q_t == 0:
-        return max((1.0 - q_T**model.n) - spec.strike, 0.0)
-    p = _call_payoff(model.n, spec.strike, q_t, q_T)
-    return math.factorial(model.n) * expected_positive_part(p).value
+        return max((1.0 - q_T**n) - spec.strike, 0.0)
+    intervals = _call_certificate(n, spec.strike, q_t, q_T)
+    if intervals == ():
+        return 0.0
+    return _price(n, _call_payoff(n, spec.strike, q_t, q_T), intervals)
 
 
 def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
@@ -360,7 +404,8 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
     Differentiates the moment representation directly; boundary terms vanish
     because the payoff polynomial is zero at every interval endpoint, so only
     the coefficient sensitivities survive.  The payoff supplies its roots and
-    exercise intervals only; its own moment sum, the price, is never formed.
+    exercise intervals only; its own moment sum, the price, is never formed,
+    and a payoff whose sign the brackets certify is not built at all.
     """
     n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
@@ -370,10 +415,14 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    roots, intervals = _exercise_region(_call_payoff(n, spec.strike, q_t, q_T))
-    for r in roots:
-        if abs(r) <= 1e-9:
-            raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
+    intervals = _call_certificate(n, spec.strike, q_t, q_T)
+    if intervals == ():
+        return 0.0
+    if intervals is None:
+        roots, intervals = _exercise_region(_call_payoff(n, spec.strike, q_t, q_T))
+        for r in roots:
+            if abs(r) <= 1e-9:
+                raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     # dQ_T/dP(0,T) = -1 / (n Q_T^(n-1)); chain rule through each coefficient
     denom = n * q_T ** (n - 1)
     w = _kernel_weights(n)
@@ -387,24 +436,49 @@ def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> Real
     q_t = model.sf.q_at(spec.option_maturity)
     if q_t == 0:
         raise ValueError("no variance accrues by swaption expiry; the payoff is deterministic")
-    n = model.n
-    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
+    return _swaption_payoff(model.n, spec.strike, q_t, [model.sf.q_at(T) for T in spec.payment_dates])
+
+
+def _swaption_payoff(n: int, strike: float, q_t: float, q_pay: list) -> RealPolynomial:
+    # the swaption payoff polynomial from brackets already read, Q_t > 0
     q_last = q_pay[-1]
     w = _kernel_weights(n)
     coeffs = [
-        w[k - 1] * ((q_last**k - q_t**k) - spec.strike * sum(1.0 - q**k for q in q_pay))
+        w[k - 1] * ((q_last**k - q_t**k) - strike * sum(1.0 - q**k for q in q_pay))
         for k in range(1, n + 1)
     ]
     return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
+
+
+def _swaption_certificate(n: int, strike: float, q_t: float, q_pay: list):
+    """The swaption's exercise intervals when the brackets settle them, else None.
+
+    The payoff is sum_{m<n} c_m (X^(m))^2 with
+    c_m = (h_N^N - K sum_i (g^N - h_i^N)) / N!, N = n - m, g = 1 - Q_t and
+    h_i = Q_{T_i} - Q_t <= g.  Divided by g^N, the first term falls with N
+    and the sum grows, so the sign of c_m decreases with N: c_m < 0 for
+    every m when it holds at N = 1, and c_m > 0 for every m when it holds
+    at N = n.  The tests are strict, so a certified payoff has no root.
+    """
+    _check_degree(n)
+    g = 1.0 - q_t
+    h = [q - q_t for q in q_pay]
+    if h[-1] < strike * sum(g - h_i for h_i in h):
+        return ()
+    if h[-1] ** n > strike * sum(g**n - h_i**n for h_i in h):
+        return _WHOLE_LINE
+    return None
 
 
 def price_swaption(model: CoherentModel, spec: SwaptionSpec) -> float:
     """Time-0 price of a payer swaption, normalised by pi_0."""
     n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
+    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
     if q_t == 0:
-        q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
         fixed_leg = spec.strike * sum(1.0 - q**n for q in q_pay)
         return max((1.0 - q_t**n) - (1.0 - q_pay[-1] ** n) - fixed_leg, 0.0)
-    p = swaption_payoff_polynomial(model, spec)
-    return math.factorial(n) * expected_positive_part(p).value
+    intervals = _swaption_certificate(n, spec.strike, q_t, q_pay)
+    if intervals == ():
+        return 0.0
+    return _price(n, _swaption_payoff(n, spec.strike, q_t, q_pay), intervals)

@@ -270,6 +270,13 @@ class TestMonteCarloAgreement:
         with pytest.raises(OverflowError):
             mc_conditional_variance(model, state, 1_000, 5)
 
+    def test_overflowing_driver_value_raises(self):
+        # unit weights, but X^(2) ~ R^2 / 2 squared overflows at R = 1e100:
+        # the scaled sum itself is inf, which ldexp would pass through
+        state = multi_state_at(MIXED, 0.8, (0.0, 1e100))
+        with pytest.raises(OverflowError):
+            incoherent_kernel(MIXED, state)
+
     def test_mixed_diagonal_normalisation_is_identified(self):
         # the conditional variance fixes the per-order diagonal weights
         # 1/k!; the 1/(k!)^2 alternative predicts a variance the sampler

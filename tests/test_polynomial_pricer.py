@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from chaosrates import (
     quadrature_price,
     swaption_payoff_polynomial,
 )
-from chaosrates.coherent_model import kernel_coefficient
+from chaosrates import polynomial_pricer as pp
+from chaosrates.coherent_model import _chaos_terms, _kernel_weights, kernel_coefficient
 from chaosrates.polynomial_pricer import (
     _ROUNDING_FLOOR,
     _newton_polish,
@@ -392,7 +394,11 @@ class TestPayoffBuildersMatchPerKSums:
         coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
         payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
         assert call_payoff_polynomial(model, spec).coeffs == payoff.coeffs
-        intervals = expected_positive_part(payoff).positive_intervals
+        # the pricer's exercise intervals: certified from the brackets, else
+        # from the roots of the payoff
+        intervals = pp._call_certificate(n, strike, q_t, q_T)
+        if intervals is None:
+            intervals = expected_positive_part(payoff).positive_intervals
         price = max(self._all_moments_sum(payoff, intervals), 0.0)
         assert price_bond_call(model, spec) == math.factorial(n) * price
         try:
@@ -641,9 +647,187 @@ class TestEvenPayoffs:
                     changes = sum(a != b for a, b in zip(signs, signs[1:]))
                     changes_seen.add(min(changes, 2))
                     seen.clear()
-                    price_bond_call(model, OptionSpec(t, T, strike))
+                    # on the polynomial itself: price_bond_call may settle
+                    # the sign from the brackets before any Descartes count
+                    expected_positive_part(p)
                     assert (seen == []) == (changes <= 1)
         assert changes_seen == {0, 1, 2}
+
+
+def swaption_case(n, q_t, steps, strike_share):
+    """A swaption on brackets climbing from q_t by the given fractions of
+    the remaining variance, struck at strike_share times the forward rate."""
+    q_pay, q = [], q_t
+    for step in steps:
+        q = q + step * (1.0 - q)
+        q_pay.append(q)
+    dates = tuple(2.0 + i for i in range(len(q_pay)))
+    model = CoherentModel(n, LookupBracket({1.0: q_t, **dict(zip(dates, q_pay))}))
+    forward = (q_pay[-1] ** n - q_t**n) / sum(1.0 - x**n for x in q_pay)
+    return model, SwaptionSpec(1.0, dates, strike_share * forward)
+
+
+class TestSignCertificate:
+    """Calls and swaptions whose squared-form coefficients share one sign
+    are settled from the brackets: no root is sought."""
+
+    @pytest.fixture
+    def isolated(self, monkeypatch):
+        """The names of the root-isolation functions called, in order."""
+        seen = []
+        for name in ("_exercise_region", "_companion_eigenvalues"):
+            real = getattr(pp, name)
+
+            def spy(*args, _real=real, _name=name):
+                seen.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(pp, name, spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "n, q_t, q_T, strike",
+        [
+            (4, 0.3, 0.5, 1.2),  # K >= 1
+            (4, 0.3, 0.5, 1.0),
+            (2, 0.3, 0.9, 0.5),  # K < 1: 0.5 * 0.7^2 < 0.6^2
+        ],
+    )
+    def test_worthless_call(self, isolated, n, q_t, q_T, strike):
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        assert pp._call_certificate(n, strike, q_t, q_T) == ()
+        assert price_bond_call(model, spec) == 0.0
+        assert call_delta(model, spec) == 0.0
+        assert isolated == []
+        # root isolation on the payoff agrees: nowhere positive
+        assert expected_positive_part(call_payoff_polynomial(model, spec)).positive_intervals == ()
+
+    def test_always_exercised_call(self, isolated):
+        n, q_t, q_T, strike = 3, 0.3, 0.5, 0.2  # 0.8 * 0.7 > 0.2
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        price, delta = price_bond_call(model, spec), call_delta(model, spec)
+        assert isolated == []
+        res = expected_positive_part(call_payoff_polynomial(model, spec))
+        assert res.roots == () and res.positive_intervals == ((-math.inf, math.inf),)
+        assert price == math.factorial(n) * res.value
+        assert price == pytest.approx((1 - q_T**n) - strike * (1 - q_t**n), rel=1e-12)
+        assert delta == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("strike_share, want", [(10.0, ()), (0.1, ((-math.inf, math.inf),))])
+    def test_settled_swaptions(self, isolated, strike_share, want):
+        model, spec = swaption_case(5, 0.2, (0.3, 0.2, 0.4), strike_share)
+        price = price_swaption(model, spec)
+        assert isolated == []
+        res = expected_positive_part(swaption_payoff_polynomial(model, spec))
+        assert res.positive_intervals == want
+        assert price == math.factorial(5) * res.value
+        if not want:
+            assert price == 0.0
+
+    def test_open_contracts_still_isolate_roots(self, isolated):
+        # near the money the coefficients change sign; at n = 16 the payoff
+        # needs the companion matrix
+        model, spec = CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9)
+        assert pp._call_certificate(16, 0.9, FAMILIES[0].q_at(2.0), FAMILIES[0].q_at(6.5)) is None
+        price_bond_call(model, spec)
+        assert isolated == ["_exercise_region", "_companion_eigenvalues"]
+        isolated.clear()
+        call_delta(model, spec)
+        assert isolated == ["_exercise_region", "_companion_eigenvalues"]
+        isolated.clear()
+        model, spec = swaption_case(3, 0.15, (0.3, 0.3, 0.3), 1.0)
+        price_swaption(model, spec)
+        assert isolated == ["_exercise_region"]
+
+    def test_dyadic_origin_root_sits_on_the_boundary(self):
+        # (1 - K) g^2 == h^2 exactly: the strict test leaves the payoff to
+        # root isolation, which finds the root at the origin
+        n, q_t, q_T, strike = 2, 0.5, 0.75, 0.75
+        g, h = 1.0 - q_t, q_T - q_t
+        assert (1.0 - strike) * g**n == h**n
+        assert pp._call_certificate(n, strike, q_t, q_T) is None
+        with pytest.raises(ValueError, match="degenerate"):
+            call_delta(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_degree_cap_before_the_certificate(self, monkeypatch, n):
+        whole = ((-math.inf, math.inf),)
+        calls = [(1.5, ()), (0.0, whole)]
+        q_pay = [0.44, 0.552]
+        swaptions = [(0.5, ()), (0.0, whole)]
+        with monkeypatch.context() as raised:
+            # with the cap lifted, every contract here is certified
+            raised.setattr(pp, "MAX_DEGREE", 2 * n - 2)
+            for strike, want in calls:
+                assert pp._call_certificate(n, strike, 0.3, 0.5) == want
+            for strike, want in swaptions:
+                assert pp._swaption_certificate(n, strike, 0.2, q_pay) == want
+        model = call_model(n, 0.3, 0.5)
+        for strike, _ in calls:
+            for price in (price_bond_call, call_delta):
+                with pytest.raises(ValueError, match="exceeds the supported maximum"):
+                    price(model, OptionSpec(1.0, 2.0, strike))
+        model = CoherentModel(n, LookupBracket({1.0: 0.2, 2.0: q_pay[0], 3.0: q_pay[1]}))
+        for strike, _ in swaptions:
+            with pytest.raises(ValueError, match="exceeds the supported maximum"):
+                price_swaption(model, SwaptionSpec(1.0, (2.0, 3.0), strike))
+
+    @staticmethod
+    def _construction_scale(n, magnitudes, q_t):
+        """n! E[sum_k w_k m_k sum_terms |a| q_t^j |sqrt(q_t) Z|^i] over the
+        terms a R^i Q^j of each X^(2n-2k): the size of the payoff before
+        its coefficients cancel, m_k the magnitude of its k-th bracket sum,
+        and so the scale of the payoff's rounding error."""
+        w = _kernel_weights(n)
+        total = 0.0
+        for k, m in enumerate(magnitudes, 1):
+            for a, i, j in _chaos_terms(2 * n - 2 * k):  # i even: E|Z|^i = (i - 1)!!
+                total += w[k - 1] * m * abs(a) * q_t ** (j + i / 2) * math.prod(range(i - 1, 0, -2))
+        return math.factorial(n) * total
+
+    @staticmethod
+    def _agrees_with_root_isolation(price, n, payoff, certified, scale):
+        """The price is the positive part of the payoff, bit for bit, unless
+        the certificate settled intervals (certified) that root isolation on
+        the payoff's float coefficients does not find.  Those coefficients
+        have then cancelled to their rounding error: root isolation cuts
+        roots the exact payoff does not have, and the two differ within
+        that error."""
+        res = expected_positive_part(payoff)
+        want = math.factorial(n) * res.value
+        if certified is None or res.positive_intervals == certified:
+            assert price == want
+        else:
+            assert abs(price - want) <= 4.0 * sys.float_info.epsilon * scale
+
+    @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+    @example(2, 0.01, 2.220446049250313e-16, 1.0)  # roots cut from rounding noise
+    @settings(max_examples=150, deadline=None)
+    def test_call_price_is_the_positive_part_of_its_payoff(self, n, q_t, frac, strike):
+        q_T = q_t + frac * (1.0 - q_t)
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        certified = pp._call_certificate(n, strike, q_t, q_T)
+        magnitudes = [(1.0 - q_T**k) + strike * (1.0 - q_t**k) for k in range(1, n + 1)]
+        scale = self._construction_scale(n, magnitudes, q_t)
+        payoff = call_payoff_polynomial(model, spec)
+        self._agrees_with_root_isolation(price_bond_call(model, spec), n, payoff, certified, scale)
+
+    @given(
+        st.integers(1, 16),
+        st.floats(0.01, 0.95),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        st.floats(0.0, 1.5),
+    )
+    @example(3, 0.5, [1e-9], 0.0)  # roots cut from rounding noise
+    @settings(max_examples=150, deadline=None)
+    def test_swaption_price_is_the_positive_part_of_its_payoff(self, n, q_t, steps, strike_share):
+        model, spec = swaption_case(n, q_t, [0.5 * step for step in steps], strike_share)
+        q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
+        certified = pp._swaption_certificate(n, spec.strike, q_t, q_pay)
+        magnitudes = [q_pay[-1] ** k + q_t**k + spec.strike * sum(1.0 - x**k for x in q_pay) for k in range(1, n + 1)]
+        scale = self._construction_scale(n, magnitudes, q_t)
+        payoff = swaption_payoff_polynomial(model, spec)
+        self._agrees_with_root_isolation(price_swaption(model, spec), n, payoff, certified, scale)
 
 
 class CountingPolynomial:
