@@ -11,17 +11,29 @@ from a structure function.  Closed forms implemented here:
   with X^(0) = 1 and X^(m) = 0 for m < 0, evaluated by the Hermite
   recurrence (m + 1) X^(m+1) = R X^(m) - Q X^(m-1);
 
-* the pricing kernel of order n,
+* the pricing kernel of order n, the conditional variance of X_inf^(n),
+  by the product formula as a sum of squares (g = 1 - Q_t),
 
-      pi_t = sum_{k=1..n} w_k (1 - Q_t^k) X_t^(2n-2k),
-      w_k  = (2(n-k))! / (k! ((n-k)!)^2),
+      pi_t = sum_{N=1..n} g^N / N! (X_t^(n-N))^2,
 
-  a polynomial of degree 2n - 2 in R_t with pi_0 = 1/n!;
+  a polynomial of degree 2n - 2 in R_t with pi_0 = 1/n!; linearised, it is
+  sum_{k=1..n} w_k (1 - Q_t^k) X_t^(2n-2k), w_k = (2(n-k))! / (k! ((n-k)!)^2),
+  the form kernel_polynomial and kernel_sums evaluate;
 
-* discount bonds P(t, T) = [same sum with Q_t^k -> Q_T^k inside the
-  bracket] / pi_t, so P(0, T) = 1 - Q_T^n;
+* discount bonds P(t, T) = E_t[pi_T] / pi_t, with h = Q_T - Q_t,
 
-* the short rate and market price of risk implied by the kernel dynamics.
+      E_t[pi_T] = sum_{N=1..n} (g^N - h^N) / N! (X_t^(n-N))^2,
+
+  so P(0, T) = 1 - Q_T^n;
+
+* the short rate and market price of risk implied by the kernel dynamics:
+  the drift telescopes to a single square and the volatility is the
+  derivative in R_t,
+
+      r_t      = phi_t^2 (X_t^(n-1))^2 / pi_t,
+      lambda_t = -2 phi_t sum_{N=1..n-1} g^N / N! X_t^(n-N) X_t^(n-N-1) / pi_t.
+
+pair_sum evaluates every one of these sums from X^(0..n-1).
 """
 
 from __future__ import annotations
@@ -133,23 +145,9 @@ def kernel_coefficient(n: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def rate_coefficient(n: int, k: int) -> Fraction:
-    """Exact weight (2(n-k))! / ((k-1)! ((n-k)!)^2) of the short-rate sum."""
-    if not 1 <= k <= n:
-        raise ValueError(f"rate coefficient index must satisfy 1 <= k <= n, got k={k}, n={n}")
-    return kernel_coefficient(n, k) * k
-
-
-@lru_cache(maxsize=None)
 def _kernel_weights(n: int) -> tuple:
     # float w_1 .. w_n of the order-n kernel
     return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _rate_weights(n: int) -> tuple:
-    # float k w_k, k = 1 .. n, of the order-n short-rate sum
-    return tuple(float(rate_coefficient(n, k)) for k in range(1, n + 1))
 
 
 def even_chaos_polynomial(n: int, coeffs, q: float) -> RealPolynomial:
@@ -195,8 +193,29 @@ def kernel_sums(n: int, xs, levels) -> list:
     return accs
 
 
-def _positive_kernel(n: int, xs, q: float, what: str) -> float:
-    (pi,) = kernel_sums(n, xs, (q,))
+def pair_sum(a: int, b: int, xi, xj, g: float, g_T: float) -> float:
+    """sum_{N=1..min(a,b)} (g^N - h^N) / N! X_i^(a-N) X_j^(b-N), h = g - g_T.
+
+    One pair's term of the product formula, from the chaos lists
+    xi = X^(0..a-1)(phi_i) and xj = X^(0..b-1)(phi_j) at the state, with
+    g = int_t^inf phi_i phi_j and g_T = int_T^inf phi_i phi_j.  g_T = g gives
+    the kernel term, weights g^N / N!; g_T read at a bond maturity gives the
+    term of E_t[pi_T].  g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum
+    of nonnegative terms, so a far maturity cancels nothing.
+    """
+    h = g - g_T
+    d = acc = 0.0
+    h_power = factorial = 1.0
+    for N in range(1, min(a, b) + 1):
+        d = g * d + h_power * g_T
+        h_power *= h
+        factorial *= N
+        acc += d / factorial * xi[a - N] * xj[b - N]
+    return acc
+
+
+def _positive_kernel(n: int, xs, g: float, what: str) -> float:
+    pi = pair_sum(n, n, xs, xs, g, g)
     if not math.isfinite(pi):
         raise ValueError(f"pricing kernel is not finite at this state; {what} undefined")
     if pi <= 0:
@@ -210,7 +229,9 @@ def pricing_kernel(model: CoherentModel, state: GaussianState) -> float:
     Raises OverflowError when pi_t lies beyond the float range.
     """
     n = model.n
-    (pi,) = kernel_sums(n, chaos_values(2 * n - 2, state.R, state.Q), (state.Q,))
+    g = 1.0 - state.Q
+    xs = chaos_values(n - 1, state.R, state.Q)
+    pi = pair_sum(n, n, xs, xs, g, g)
     if not math.isfinite(pi):
         raise OverflowError("pricing kernel lies beyond the float range at this state")
     return pi
@@ -221,9 +242,10 @@ def bond_price(model: CoherentModel, state: GaussianState, maturity: float) -> f
     if maturity < state.t:
         raise ValueError(f"maturity {maturity} precedes state time {state.t}")
     n = model.n
-    xs = chaos_values(2 * n - 2, state.R, state.Q)
-    (numer,) = kernel_sums(n, xs, (model.sf.q_at(maturity),))
-    return numer / _positive_kernel(n, xs, state.Q, "bond price")
+    g = 1.0 - state.Q
+    xs = chaos_values(n - 1, state.R, state.Q)
+    numer = pair_sum(n, n, xs, xs, g, 1.0 - model.sf.q_at(maturity))
+    return numer / _positive_kernel(n, xs, g, "bond price")
 
 
 def initial_bond_price(model: CoherentModel, maturity: float) -> float:
@@ -232,38 +254,30 @@ def initial_bond_price(model: CoherentModel, maturity: float) -> float:
 
 
 def short_rate(model: CoherentModel, state: GaussianState) -> float:
-    """Instantaneous rate r_t implied by the kernel drift; needs Q_t < 1."""
+    """r_t = phi_t^2 (X_t^(n-1))^2 / pi_t, nonnegative by construction; needs Q_t < 1."""
     if state.Q >= 1:
         raise ValueError("short rate undefined once the bracket Q_t reaches 1")
     dens = model.sf.squared_density(state.t)
     if dens == 0.0:
         return 0.0
     n = model.n
-    xs = chaos_values(2 * n - 2, state.R, state.Q)
-    pi = _positive_kernel(n, xs, state.Q, "short rate")
-    q = float(state.Q)
-    w = _rate_weights(n)
-    acc = 0.0
-    for k in range(1, n + 1):
-        acc += w[k - 1] * q ** (k - 1) * xs[2 * n - 2 * k]
-    return dens * acc / pi
+    xs = chaos_values(n - 1, state.R, state.Q)
+    pi = _positive_kernel(n, xs, 1.0 - state.Q, "short rate")
+    return dens * xs[n - 1] * xs[n - 1] / pi
 
 
 def risk_premium(model: CoherentModel, state: GaussianState) -> float:
-    """Market price of risk lambda_t implied by the kernel volatility; Q_t < 1."""
+    """lambda_t = -2 phi_t sum_N g^N / N! X_t^(n-N) X_t^(n-N-1) / pi_t; needs Q_t < 1."""
     if state.Q >= 1:
         raise ValueError("risk premium undefined once the bracket Q_t reaches 1")
     dens = model.sf.squared_density(state.t)
     if dens == 0.0:
         return 0.0
     n = model.n
-    xs = chaos_values(2 * n - 2, state.R, state.Q)
-    pi = _positive_kernel(n, xs, state.Q, "risk premium")
-    w = _kernel_weights(n)
-    acc = 0.0
-    for k in range(1, n):  # the k = n term multiplies X^(-1) = 0
-        acc += w[k - 1] * (1.0 - state.Q**k) * xs[2 * n - 2 * k - 1]
-    return -math.sqrt(dens) * acc / pi
+    g = 1.0 - state.Q
+    xs = chaos_values(n - 1, state.R, state.Q)
+    pi = _positive_kernel(n, xs, g, "risk premium")
+    return -2.0 * math.sqrt(dens) * pair_sum(n, n - 1, xs, xs, g, g) / pi
 
 
 def from_descriptor(d: dict) -> CoherentModel:

@@ -10,12 +10,20 @@ Wiener integrals,
     g_ij = int_t^inf phi_i phi_j.
 
 Bond prices P(t, T) = E_t[pi_T] / pi_t take the same double sum with
-g_ij(T) in place of g_ij, and each chaos product projected back from T to t
-by the banded identity
+g_ij(T) = int_T^inf phi_i phi_j in place of g_ij, and each chaos product
+projected back from T to t by the banded identity
 
     E_t[X_T^(a)(phi_i) X_T^(b)(phi_j)]
         = sum_{m=0..min(a,b)} (h_ij^m / m!) X_t^(a-m)(phi_i) X_t^(b-m)(phi_j),
-    h_ij = int_t^T phi_i phi_j.
+    h_ij = g_ij - g_ij(T) = int_t^T phi_i phi_j.
+
+Grouping the two sums by N = k + m gives one sum per pair,
+
+    E_t[pi_T] = sum_{i,j} c_i c_j sum_{N=1..min(n_i,n_j)}
+                    ((g_ij^N - h_ij^N) / N!) X_t^(n_i-N)(phi_i) X_t^(n_j-N)(phi_j),
+
+which coherent_model.pair_sum evaluates for the kernel (g_ij(T) = g_ij,
+h_ij = 0) and the numerator alike, reading only X^(0..n_i-1).
 
 With equal orders the formula is the equal-order kernel, and with orders
 {1, n} the diagonal of the order-n term carries the (1 - Q)^k / k! weights;
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, chaos_values
+from .coherent_model import MAX_ORDER, chaos_values, pair_sum
 from .structure_functions import StructureFunction, check_finite, residual_inner_product
 from . import structure_functions
 
@@ -142,15 +150,6 @@ def multi_state_at(model: IncoherentModel, t: float, values) -> MultiGaussianSta
     return MultiGaussianState(t=t, values=values, brackets=brackets, residual_gram=gram)
 
 
-def _banded_projection(h: float, a: int, b: int, xi, xj) -> float:
-    # E_t of the product of window-a and window-b chaos components at T,
-    # from the time-t chaos lists xi = X^(0..a)(phi_i), xj = X^(0..b)(phi_j)
-    out = 0.0
-    for m in range(min(a, b) + 1):
-        out += h**m / math.factorial(m) * xi[a - m] * xj[b - m]
-    return out
-
-
 def _kernel_and_numerator(model: IncoherentModel, state: MultiGaussianState, maturity=None) -> tuple:
     """(e, pi_t, E_t[pi_T]) by the product formula, for any chaos orders.
 
@@ -170,17 +169,11 @@ def _kernel_and_numerator(model: IncoherentModel, state: MultiGaussianState, mat
         for j in range(i, len(terms)):
             tj = terms[j]
             g = state.residual_gram[i][j]
+            scale = (1.0 if i == j else 2.0) * c[i] * c[j]
+            pi_t += scale * pair_sum(ti.order, tj.order, xs[i], xs[j], g, g)
             if maturity is not None:
                 g_T = residual_inner_product(ti.sf, tj.sf, maturity)
-            kernel = projected = 0.0
-            for k in range(1, min(ti.order, tj.order) + 1):
-                a, b = ti.order - k, tj.order - k
-                kernel += g**k / math.factorial(k) * xs[i][a] * xs[j][b]
-                if maturity is not None:
-                    projected += g_T**k / math.factorial(k) * _banded_projection(g - g_T, a, b, xs[i], xs[j])
-            scale = (1.0 if i == j else 2.0) * c[i] * c[j]
-            pi_t += scale * kernel
-            numer += scale * projected
+                numer += scale * pair_sum(ti.order, tj.order, xs[i], xs[j], g, g_T)
     return e, pi_t, numer
 
 

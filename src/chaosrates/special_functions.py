@@ -192,8 +192,3 @@ def _even_partial_moments(j_max: int, a: float, b: float) -> list[float]:
         hi = b ** (k - 1) * pb if pb != 0.0 else 0.0
         out.append((k - 1) * out[-1] + lo - hi)
     return out
-
-
-def gaussian_partial_moment(k: int, a: float, b: float) -> float:
-    """Truncated moment M_k(a, b) = int_a^b z**k rho(z) dz."""
-    return gaussian_partial_moments(k, a, b)[k]

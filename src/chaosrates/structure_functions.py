@@ -27,7 +27,7 @@ import numpy as np
 
 
 class StructureFunction(ABC):
-    """Common interface: Q_t, the density phi**2, and phi itself."""
+    """Common interface: Q_t and the density phi**2."""
 
     family: str
 
@@ -38,9 +38,6 @@ class StructureFunction(ABC):
     @abstractmethod
     def squared_density(self, t):
         """phi**2(t); zero outside the support, zero everywhere for atoms."""
-
-    def phi(self, t):
-        return np.sqrt(self.squared_density(t))
 
     @property
     def is_density(self) -> bool:
@@ -270,31 +267,9 @@ def residual_inner_product(sf_i: StructureFunction, sf_j: StructureFunction, t: 
             return _residual_pw_pw(x, y, t)
         if isinstance(x, DiscreteAtoms) and isinstance(y, DiscreteAtoms):
             return _residual_atoms_atoms(x, y, t)
-    # generic density pair: adaptive quadrature fallback
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda s: sf_i.phi(s) * sf_j.phi(s), t, np.inf, epsabs=1e-12, limit=400)
-    return val
-
-
-def window_inner_product(sf_i: StructureFunction, sf_j: StructureFunction, t: float, T: float) -> float:
-    """int_t^T phi_i(s) phi_j(s) ds for t <= T."""
-    if T < t:
-        raise ValueError(f"window must have t <= T, got [{t}, {T}]")
-    return residual_inner_product(sf_i, sf_j, t) - residual_inner_product(sf_i, sf_j, T)
-
-
-def cross_inner_product(sf_i: StructureFunction, sf_j: StructureFunction, t: float, k: int) -> float:
-    """k-fold iterated simplex integral of phi_i phi_j over (t, inf).
-
-    Equals (int_t^inf phi_i phi_j)**k / k!; k = 0 gives 1 by convention.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"iteration order must be a nonnegative integer, got {k}")
-    if k == 0:
-        return 1.0
-    g = residual_inner_product(sf_i, sf_j, t)
-    return g ** int(k) / math.factorial(int(k))
+    raise ValueError(
+        f"no closed-form inner product for the family pair ({sf_i.family!r}, {sf_j.family!r})"
+    )
 
 
 def from_descriptor(d: dict) -> StructureFunction:

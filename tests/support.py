@@ -33,6 +33,18 @@ def per_k_chaos_sum(n, coeffs, q):
     return acc
 
 
+def banded_projection(h, a, b, xi, xj):
+    """E_t[X_T^(a)(phi_i) X_T^(b)(phi_j)] = sum_{m=0..min(a,b)} h^m / m! X_t^(a-m) X_t^(b-m).
+
+    xi and xj list X^(0..a) and X^(0..b) at time t and h = int_t^T phi_i phi_j:
+    the projection of one chaos product back to t, term by term.
+    """
+    out = 0.0
+    for m in range(min(a, b) + 1):
+        out += h**m / math.factorial(m) * xi[a - m] * xj[b - m]
+    return out
+
+
 def scaled_hermite_chaos(m, r, q):
     """X^(m)(r, q) = q^(m/2) He_m(r / sqrt(q)) / m!, the reference for chaos_value.
 

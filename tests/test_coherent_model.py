@@ -29,10 +29,10 @@ from chaosrates.coherent_model import (
     from_descriptor,
     iter_chaos_values,
     kernel_sums,
-    rate_coefficient,
+    pair_sum,
     to_descriptor,
 )
-from support import per_k_chaos_sum, scaled_hermite_chaos
+from support import banded_projection, per_k_chaos_sum, scaled_hermite_chaos
 
 SF = ExponentialDensity(0.1)
 
@@ -125,10 +125,27 @@ class TestKernelCoefficients:
                 )
                 assert kernel_coefficient(n, k) == want
 
-    def test_rate_coefficient_carries_the_power_factor(self):
-        for n in range(1, 6):
-            for k in range(1, n + 1):
-                assert rate_coefficient(n, k) == k * kernel_coefficient(n, k)
+
+@given(
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.floats(-3, 3),
+    st.floats(-3, 3),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=200)
+def test_pair_sum_is_the_banded_double_sum(a, b, ri, rj, g, frac):
+    # sum_k g_T^k / k! E_t[X_T^(a-k) X_T^(b-k)], each projection the banded
+    # sum over h = g - g_T: the numerator before regrouping by N = k + m
+    g_T = g * frac
+    xi, xj = chaos_values(a, ri, 0.3), chaos_values(b, rj, 0.6)
+    want = sum(
+        g_T**k / math.factorial(k) * banded_projection(g - g_T, a - k, b - k, xi, xj)
+        for k in range(1, min(a, b) + 1)
+    )
+    scale = sum(abs(x * y) for x in xi for y in xj)
+    assert abs(pair_sum(a, b, xi, xj, g, g_T) - want) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -304,6 +321,20 @@ def test_short_rate_nonnegative_on_lattice():
         for r in (-2.0, -0.5, 0.0, 0.5, 2.0):
             s = state_at(SF, t, r)
             assert short_rate(model, s) >= 0.0
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 16, 20])
+def test_short_rate_nonnegative_at_the_roots_of_the_rate_chaos(n):
+    # r_t = phi_t^2 (X^(n-1))^2 / pi_t vanishes where X^(n-1) does, at
+    # R = sqrt(Q) z for each root z of He_(n-1); a rounded sum of signed
+    # terms can land below zero there
+    sf = ExponentialDensity(0.23)
+    model = CoherentModel(n, sf)
+    q = sf.q_at(2.0)
+    roots = np.polynomial.hermite_e.hermeroots([0.0] * (n - 1) + [1.0])
+    for z in roots:
+        for shift in (-1e-9, 0.0, 1e-9):
+            assert short_rate(model, GaussianState(2.0, math.sqrt(q) * (z + shift), q)) >= 0.0
 
 
 class TestModelConstruction:

@@ -24,12 +24,12 @@ from chaosrates import (
 )
 from chaosrates.coherent_model import chaos_value, chaos_values
 from chaosrates.incoherent_model import (
-    _banded_projection,
     accumulated_gram_matrix,
     from_descriptor,
     residual_gram_matrix,
     to_descriptor,
 )
+from support import banded_projection
 
 SF = ExponentialDensity(0.7)
 
@@ -318,7 +318,7 @@ class TestMonteCarloAgreement:
             mc = float(np.mean(samples))
             se = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
             x_t = chaos_values(max(a, b), r_t, q_t)
-            closed = _banded_projection(h, a, b, x_t, x_t)
+            closed = banded_projection(h, a, b, x_t, x_t)
             assert abs(mc - closed) <= 4.0 * se
 
 

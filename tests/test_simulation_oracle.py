@@ -29,12 +29,12 @@ from chaosrates import (
 )
 from chaosrates.coherent_model import chaos_values, kernel_coefficient
 from chaosrates.incoherent_model import (
-    _banded_projection,
     accumulated_gram_matrix,
     multi_state_at,
     residual_gram_matrix,
 )
 from chaosrates.simulation_oracle import MC_CHUNK, _incoherent_form, _payoff_legs
+from support import banded_projection
 
 SF = ExponentialDensity(0.7)
 ORDER_TWO = CoherentModel(2, SF)
@@ -313,7 +313,7 @@ class TestChunkedMonteCarlo:
             g_T = residual_gram_matrix(model, T)
             return sum(
                 ti.weight * tj.weight * g_T[i, j] ** k / math.factorial(k)
-                * _banded_projection(g_now[i, j] - g_T[i, j], ti.order - k, tj.order - k, xs[i], xs[j])
+                * banded_projection(g_now[i, j] - g_T[i, j], ti.order - k, tj.order - k, xs[i], xs[j])
                 for i, ti in enumerate(terms)
                 for j, tj in enumerate(terms)
                 for k in range(1, min(ti.order, tj.order) + 1)

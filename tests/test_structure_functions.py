@@ -13,12 +13,12 @@ from chaosrates import (
     GaussianState,
     PiecewiseConstantDensity,
     StructureFunction,
-    cross_inner_product,
     residual_inner_product,
     state_at,
-    window_inner_product,
 )
+from chaosrates.coherent_model import pair_sum
 from chaosrates.structure_functions import from_descriptor, to_descriptor
+from support import LookupBracket
 
 
 class TestExponentialDensity:
@@ -161,20 +161,30 @@ def test_residual_inner_product_matches_quadrature(sf_i, sf_j, t):
     assert got == pytest.approx(want, abs=max(1e-8, 10 * err))
 
 
-def test_window_inner_product_is_a_difference_of_residuals():
-    sf_i, sf_j = ExponentialDensity(0.4), ExponentialDensity(0.9)
-    got = window_inner_product(sf_i, sf_j, 1.0, 5.0)
-    want = residual_inner_product(sf_i, sf_j, 1.0) - residual_inner_product(sf_i, sf_j, 5.0)
-    assert got == pytest.approx(want, rel=1e-12)
+@pytest.mark.parametrize("sf_i,sf_j", RESIDUAL_PAIRS)
+def test_window_between_two_residuals_matches_quadrature(sf_i, sf_j):
+    # h = g(t) - g(T) = int_t^T phi_i phi_j, the projection window of a bond
+    got = residual_inner_product(sf_i, sf_j, 1.0) - residual_inner_product(sf_i, sf_j, 5.0)
+    want, err = integrate.quad(
+        lambda s: math.sqrt(sf_i.squared_density(s) * sf_j.squared_density(s)), 1.0, 5.0, limit=800
+    )
+    assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
 
-def test_cross_inner_product_powers():
+def test_pair_sum_at_the_origin_is_the_simplex_integral():
+    # with X^(0) = 1 the only nonzero chaos value, the order-k pair sum is
+    # the k-fold iterated simplex integral of phi_i phi_j over (t, inf), g^k / k!
     sf_i, sf_j = ExponentialDensity(0.4), ExponentialDensity(0.9)
     g = residual_inner_product(sf_i, sf_j, 2.0)
-    assert cross_inner_product(sf_i, sf_j, 2.0, 0) == 1.0
     for k in (1, 2, 3):
+        origin = [1.0] + [0.0] * (k - 1)
         want = g**k / math.factorial(k)
-        assert cross_inner_product(sf_i, sf_j, 2.0, k) == pytest.approx(want, rel=1e-12)
+        assert pair_sum(k, k, origin, origin, g, g) == pytest.approx(want, rel=1e-15)
+
+
+def test_density_pair_without_a_closed_form_is_refused():
+    with pytest.raises(ValueError, match="'lookup', 'exponential'"):
+        residual_inner_product(LookupBracket({}), ExponentialDensity(0.4), 1.0)
 
 
 def test_atom_products_pair_only_coincident_times():
