@@ -18,7 +18,7 @@ from a structure function.  Closed forms implemented here:
 
   a polynomial of degree 2n - 2 in R_t with pi_0 = 1/n!; linearised, it is
   sum_{k=1..n} w_k (1 - Q_t^k) X_t^(2n-2k), w_k = (2(n-k))! / (k! ((n-k)!)^2),
-  the form kernel_polynomial and kernel_sums evaluate;
+  the coefficient form kernel_polynomial builds for the payoff pricers;
 
 * discount bonds P(t, T) = E_t[pi_T] / pi_t, with h = Q_T - Q_t,
 
@@ -33,7 +33,8 @@ from a structure function.  Closed forms implemented here:
       r_t      = phi_t^2 (X_t^(n-1))^2 / pi_t,
       lambda_t = -2 phi_t sum_{N=1..n-1} g^N / N! X_t^(n-N) X_t^(n-N-1) / pi_t.
 
-pair_sum evaluates every one of these sums from X^(0..n-1).
+pair_sum evaluates every one of these sums from X^(0..n-1), at one state
+or broadcast over arrays of simulated states.
 """
 
 from __future__ import annotations
@@ -42,12 +43,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .special_functions import RealPolynomial
 from .structure_functions import GaussianState, StructureFunction
 
 MAX_ORDER = 20
+
+
+def check_order(n) -> None:
+    """Raise ValueError unless n is an int in [1, MAX_ORDER]; a bool is not an order."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"chaos order must be an integer in [1, {MAX_ORDER}], got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,7 @@ class CoherentModel:
     sf: StructureFunction
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"chaos order must be an integer in [1, {MAX_ORDER}], got {self.n}")
+        check_order(self.n)
 
     def state_at(self, t: float, r: float) -> GaussianState:
         return GaussianState(t=t, R=r, Q=self.sf.q_at(t))
@@ -86,8 +91,8 @@ def iter_chaos_values(m: int, r, q):
 
         (k + 1) X^(k+1) = r X^(k) - q X^(k-1),
 
-    holding only the last two orders, so a caller folding the orders into
-    running sums keeps memory independent of m.  Broadcasts over arrays.
+    holding only the last two orders, so chaos_value reads X^(m) in memory
+    independent of m.  Broadcasts over arrays.
     """
     if m < 0:
         return
@@ -176,24 +181,7 @@ def kernel_polynomial(n: int, q_state: float, q_maturity: float) -> RealPolynomi
     return even_chaos_polynomial(n, [w[k - 1] * (1.0 - q_maturity**k) for k in range(1, n + 1)], q_state)
 
 
-def kernel_sums(n: int, xs, levels) -> list:
-    """sum_{k=1..n} w_k (1 - q^k) X^(2n-2k) at each bracket level q.
-
-    xs yields X^(0), X^(1), ... (a chaos_values list or iter_chaos_values)
-    and is read once up to X^(2n-2), each even order X^(2n-2k) folded into
-    one running sum per level, so a generator keeps memory independent of n.
-    Levels may be arrays that broadcast against the chaos values; an array
-    sum is a fresh array from its first term on and is added to in place.
-    """
-    w = _kernel_weights(n)
-    accs = [0.0] * len(levels)
-    for k, x in zip(range(n, 0, -1), islice(xs, 0, 2 * n - 1, 2)):
-        for i, q in enumerate(levels):
-            accs[i] += w[k - 1] * (1.0 - q**k) * x
-    return accs
-
-
-def pair_sum(a: int, b: int, xi, xj, g: float, g_T: float) -> float:
+def pair_sum(a: int, b: int, xi, xj, g, g_T):
     """sum_{N=1..min(a,b)} (g^N - h^N) / N! X_i^(a-N) X_j^(b-N), h = g - g_T.
 
     One pair's term of the product formula, from the chaos lists
@@ -201,7 +189,9 @@ def pair_sum(a: int, b: int, xi, xj, g: float, g_T: float) -> float:
     g = int_t^inf phi_i phi_j and g_T = int_T^inf phi_i phi_j.  g_T = g gives
     the kernel term, weights g^N / N!; g_T read at a bond maturity gives the
     term of E_t[pi_T].  g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum
-    of nonnegative terms, so a far maturity cancels nothing.
+    of nonnegative terms, so a far maturity cancels nothing.  Chaos values
+    and g, g_T may be arrays that broadcast together; each cell then takes
+    the rounding of the scalar sum.
     """
     h = g - g_T
     d = acc = 0.0
@@ -286,10 +276,7 @@ def from_descriptor(d: dict) -> CoherentModel:
 
     if not isinstance(d, dict) or "n" not in d or "sf" not in d:
         raise ValueError("coherent model descriptor must be an object with 'n' and 'sf' keys")
-    n = d["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"chaos order must be an integer, got {n!r}")
-    return CoherentModel(n=n, sf=structure_functions.from_descriptor(d["sf"]))
+    return CoherentModel(n=d["n"], sf=structure_functions.from_descriptor(d["sf"]))
 
 
 def to_descriptor(model: CoherentModel) -> dict:

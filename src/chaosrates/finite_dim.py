@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, iter_chaos_values, kernel_sums
+from .coherent_model import chaos_values, check_order, pair_sum
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,12 @@ class DiscountCurve:
         return 1 if idx == 0 else self.prices[idx - 1]
 
 
-def _check_order(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"chaos order must be an integer in [1, {MAX_ORDER}], got {n}")
-
-
 def initial_curve(grid: AtomGrid, n: int) -> DiscountCurve:
     """Time-0 curve P(0, t) = 1 - (cumulative weight)^n on each segment.
 
     Pure Python arithmetic throughout, so exact weight types give exact prices.
     """
-    _check_order(n)
+    check_order(n)
     prices = []
     s = 0
     for w in grid.weights:
@@ -125,7 +120,7 @@ def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> AtomGrid:
     Cumulative weights are s_i = (1 - P_i)^(1/n); the horizon receives the
     remaining 1 - s_N.  Market prices must be strictly decreasing in (0, 1).
     """
-    _check_order(n)
+    check_order(n)
     weights = []
     s_prev = 0.0
     p_prev = 1.0
@@ -176,9 +171,11 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
 
     Path j draws from its own counter-based stream keyed by (seed, j), so a
     given path is reproducible regardless of count, threading, or where the
-    horizon atom sits.
+    horizon atom sits.  pi and the bond numerator E_t[pi_T] come from
+    pair_sum on X^(0..n-1), the product formula of the state values, with
+    one g = 1 - Q per segment broadcast over the paths.
     """
-    _check_order(n)
+    check_order(n)
     if count < 1:
         raise ValueError(f"path count must be a positive integer, got {count}")
     if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
@@ -213,7 +210,10 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     q[-1] = 1.0
     q_T = float(grid.cumulative_weight(bond_maturity))
 
-    pi, numer = kernel_sums(n, iter_chaos_values(2 * n - 2, r, q), (q, q_T))
+    xs = chaos_values(n - 1, r, q)
+    g = 1.0 - q
+    pi = pair_sum(n, n, xs, xs, g, g)
+    numer = pair_sum(n, n, xs, xs, g, 1.0 - q_T)
     starts = np.concatenate([[0.0], np.asarray([float(t) for t in grid.atom_times])])
     alive = starts < bond_maturity
     bond = np.ones_like(r)

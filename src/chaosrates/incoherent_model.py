@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, chaos_values, pair_sum
+from .coherent_model import chaos_values, check_order, pair_sum
 from .structure_functions import StructureFunction, check_finite, residual_inner_product
 from . import structure_functions
 
@@ -53,12 +53,7 @@ class IncoherentTerm:
 
     def __post_init__(self) -> None:
         check_finite("term weight", (self.weight,))
-        if (
-            isinstance(self.order, bool)
-            or not isinstance(self.order, int)
-            or not 1 <= self.order <= MAX_ORDER
-        ):
-            raise ValueError(f"chaos order must be an integer in [1, {MAX_ORDER}], got {self.order}")
+        check_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -216,15 +211,12 @@ def from_descriptor(d: dict) -> IncoherentModel:
         raise ValueError("incoherent model 'terms' must be a list of objects")
     terms = []
     for entry in d["terms"]:
-        n = entry.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"chaos order must be an integer, got {n!r}")
         try:
             weight = float(entry["c"])
             sf = structure_functions.from_descriptor(entry["sf"])
         except KeyError as e:
             raise ValueError(f"incoherent term is missing the {e.args[0]!r} field") from None
-        terms.append(IncoherentTerm(weight=weight, order=n, sf=sf))
+        terms.append(IncoherentTerm(weight=weight, order=entry.get("n"), sf=sf))
     return IncoherentModel(terms=tuple(terms))
 
 

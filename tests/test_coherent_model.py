@@ -27,8 +27,6 @@ from chaosrates import (
 from chaosrates.coherent_model import (
     _chaos_terms,
     from_descriptor,
-    iter_chaos_values,
-    kernel_sums,
     pair_sum,
     to_descriptor,
 )
@@ -199,36 +197,23 @@ def test_kernel_is_strictly_positive_before_exhaustion(n, r, q):
     assert pi > 0.0
 
 
-@given(
-    st.integers(1, 12),
-    st.floats(-4.0, 4.0),
-    st.floats(0.0, 1.0),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-)
+@given(st.integers(1, 12), st.floats(-4.0, 4.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=200)
-def test_kernel_sums_equal_one_list_per_order(n, r, q, levels):
-    """kernel_sums on scalars and on broadcast arrays, bit for bit the sums
-    rebuilt as a fresh list at each even order."""
-
-    def one_list_per_order(xs, levels):
-        accs = [0.0] * len(levels)
-        for j, x in enumerate(xs):
-            if j % 2 == 0 and j <= 2 * n - 2:
-                k = n - j // 2
-                w = float(kernel_coefficient(n, k))
-                accs = [acc + w * (1.0 - lv**k) * x for acc, lv in zip(accs, levels)]
-        return accs
-
-    xs = chaos_values(2 * n - 2, r, q)
-    assert kernel_sums(n, xs, levels) == one_list_per_order(xs, levels)
-    assert kernel_sums(n, iter_chaos_values(2 * n - 2, r, q), levels) == one_list_per_order(xs, levels)
+def test_pair_sum_broadcasts_cell_by_cell(n, r, q, q_T):
+    """pair_sum on a (2, 3) array of R with one g per column, as simulate_paths
+    calls it, bit for bit the scalar pair_sum of each cell."""
     rs = np.array([[r, -r, 0.5 * r], [0.0, 2.0 * r, -1.5]])
     qs = np.array([q, 0.5 * q, q * q])
-    array_levels = (qs, *levels)
-    got = kernel_sums(n, iter_chaos_values(2 * n - 2, rs, qs), array_levels)
-    want = one_list_per_order(chaos_values(2 * n - 2, rs, qs), array_levels)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    g = 1.0 - qs
+    xs = chaos_values(n - 1, rs, qs)
+    kernels = pair_sum(n, n, xs, xs, g, g)
+    numers = pair_sum(n, n, xs, xs, g, 1.0 - q_T)
+    assert kernels.shape == numers.shape == rs.shape
+    for (i, j), r_cell in np.ndenumerate(rs):
+        cell = chaos_values(n - 1, float(r_cell), float(qs[j]))
+        g_cell = float(g[j])
+        assert kernels[i, j] == pair_sum(n, n, cell, cell, g_cell, g_cell)
+        assert numers[i, j] == pair_sum(n, n, cell, cell, g_cell, 1.0 - q_T)
 
 
 def test_overflowing_kernel_raises_instead_of_nan():

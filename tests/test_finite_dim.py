@@ -106,10 +106,15 @@ class TestInitialCurve:
         assert curve.prices == pytest.approx((0.8, 0.5, 0.0), abs=1e-15)
 
     def test_rejects_bad_order(self):
-        grid = AtomGrid((1.0,), 2.0, (0.4, 0.6))
-        for bad in (0, 21, 1.5):
-            with pytest.raises(ValueError):
-                initial_curve(grid, bad)
+        # True is an int equal to 1, but no model accepts it as a chaos order
+        curve = DiscountCurve((1.0, 2.0), (0.9, 0.8))
+        for bad in (0, 21, 1.5, True):
+            with pytest.raises(ValueError, match="chaos order"):
+                initial_curve(TEN_YEARS, bad)
+            with pytest.raises(ValueError, match="chaos order"):
+                calibrate_weights(curve, bad)
+            with pytest.raises(ValueError, match="chaos order"):
+                simulate_paths(TEN_YEARS, bad, 7.0, 2, 1)
 
 
 class TestCalibration:
@@ -331,22 +336,25 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "grid, n, maturity, seed, count, digest",
         [
-            (TEN_YEARS, 2, 7.0, 11, 3, "2d5293d7720f3b05d2dcdcae10d226788d00e8789feaea9828783d16c04c2035"),
-            (THIRTY_ATOMS, 5, 12.25, 2026, 40, "79636f46f0b1a2c2e60ba688ba804577d861bfd144b18ac09c3b3c7bd7723140"),
+            (TEN_YEARS, 2, 7.0, 11, 3, "79ec6ee425f564cea0a955ecfb6e943afed7af3500e9a7d7f18552c54abaa245"),
+            (THIRTY_ATOMS, 5, 12.25, 2026, 40, "7b6eb3570be9e15ec8f81254285eb3f4a376a069b1e632a5f14ba9fdcd0150b4"),
             (
                 AtomGrid((1.0, 2.0, 3.0), 4.0, QUARTER),
                 3,
                 2.5,
                 2**64 - 1,
                 7,
-                "ddea93d4980ec89950e913709bd8f0b50b232dd49bcd4a08a0a0dbc411fe89e9",
+                "6afd4d3fc59daeb3175cca66b37647189f92ee359b0c08994d51d5c6dae05946",
             ),
         ],
     )
     def test_golden_bytes(self, tmp_path, grid, n, maturity, seed, count, digest):
-        # SHA-256 over every file name and its bytes, pinned when paths were
-        # still returned one tuple-of-tuples object per path: the (seed, j)
-        # streams and the CSV format must not move
+        # SHA-256 over every file name and its bytes: the (seed, j) streams and
+        # the CSV format must not move.  Re-pinned when pi and P moved from the
+        # linearised even-order kernel sum to the product formula's sum of
+        # squares (pair_sum): the time, R and Q bytes stayed identical, only
+        # pi and P cells moved, and each file set's worst error against a
+        # 60-digit reference fell
         files = write_paths_csv(simulate_paths(grid, n, maturity, count, seed), tmp_path / "out")
         assert len(files) == count
         assert _digest(files) == digest

@@ -16,7 +16,10 @@ price is checked against the banded double sum of the product formula,
     E_t[pi_T] = sum_{i,j} c_i c_j sum_k g_T^k / k!
                     sum_m h^m / m! X_i^(n_i-k-m) X_j^(n_j-k-m),   h = g - g_T,
 
-also in mpmath.  Every value must lie within MAX_REL_ERROR of its reference.
+also in mpmath.  Simulated paths on a 30-atom grid are checked cell by cell
+against the same kernel and bond references, with the path's R and Q and
+the grid's Q_T as exact inputs.  Every value must lie within MAX_REL_ERROR
+of its reference.
 """
 
 import math
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from chaosrates import (
+    AtomGrid,
     CoherentModel,
     ExponentialDensity,
     IncoherentModel,
@@ -38,6 +42,7 @@ from chaosrates import (
     pricing_kernel,
     risk_premium,
     short_rate,
+    simulate_paths,
     state_at,
 )
 from chaosrates.structure_functions import residual_inner_product
@@ -127,6 +132,27 @@ def test_coherent_state_values_match_the_reference(n):
         )
         for key, g, w in zip(worst, got, want):
             worst[key] = max(worst[key], rel_error(g, w))
+    assert max(worst.values()) <= MAX_REL_ERROR, worst
+
+
+THIRTY_ATOMS = AtomGrid(tuple(0.5 * i for i in range(1, 31)), 16.0, (0.025,) * 30 + (0.25,))
+PATH_ORDERS = (5, 12, 16, 20)
+PATH_MATURITY = 12.25
+PATHS_PER_ORDER = 8
+
+
+@pytest.mark.parametrize("n", PATH_ORDERS)
+def test_simulated_kernels_and_bonds_match_the_reference(n):
+    paths = simulate_paths(THIRTY_ATOMS, n, PATH_MATURITY, PATHS_PER_ORDER, 7919 * n)
+    q_T = float(THIRTY_ATOMS.cumulative_weight(PATH_MATURITY))
+    alive = np.flatnonzero(paths.segment_starts < PATH_MATURITY)
+    worst = {"kernel": 0.0, "bond": 0.0}
+    for j in range(len(paths)):
+        for k in alive:
+            want = coherent_reference(n, paths.values[j, k], paths.brackets[k], q_T, 0.0)
+            got = (paths.kernels[j, k], paths.bond_prices[j, k])
+            for key, g, w in zip(worst, got, want):
+                worst[key] = max(worst[key], rel_error(float(g), w))
     assert max(worst.values()) <= MAX_REL_ERROR, worst
 
 
