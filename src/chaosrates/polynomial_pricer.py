@@ -13,9 +13,12 @@ maps each y > 0 to the pair +-sqrt(y).  Above degree 2, Descartes's rule of
 signs on P's float coefficients settles most payoffs: no sign change means
 no positive root, one means exactly one, found by Newton-bisection inside a
 root bound.  Only P with two or more sign changes needs the companion
-matrix, of degree n - 1, not 2n - 2.  The moment sum of an even p reads
-only its even moments, and call_delta reuses the payoff's exercise
-intervals without summing the payoff's own moments.
+matrix, of degree n - 1, not 2n - 2.  Every Newton step is one pass over
+the coefficients that returns p, p' and the rounding size together, and
+the sign of an even p between its roots is read from P(z^2), in half the
+steps.  The moment sum of an even p reads only its even moments, adding
+each term as its moment is formed, and call_delta reuses the payoff's
+exercise intervals without summing the payoff's own moments.
 
 Before any root is sought, calls and swaptions try a sign certificate.
 Each payoff is a sum of squares p = sum_{m<n} c_m (X^(m))^2, and when every
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import CoherentModel, _kernel_weights, even_chaos_polynomial
-from .special_functions import RealPolynomial, _even_partial_moments, gaussian_partial_moments
+from .coherent_model import MAX_ORDER, CoherentModel, _kernel_weights, even_chaos_polynomial
+from .special_functions import RealPolynomial, _even_moment_sum, gaussian_partial_moments
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
@@ -44,6 +47,9 @@ _ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 # the standard normal density underflows to zero beyond |z| ~ 38.6, so a
 # term of p too small to move it anywhere on |z| <= 40 cannot move a price
 _DENSITY_REACH = 40.0
+
+# _DENSITY_REACH**k up to the degree 2n - 2 of a payoff of the highest order
+_REACH_POWERS = tuple(_DENSITY_REACH**k for k in range(2 * MAX_ORDER - 1))
 
 # the exercise intervals of a payoff certified positive everywhere
 _WHOLE_LINE = ((-math.inf, math.inf),)
@@ -127,11 +133,38 @@ def _stable_quadratic_roots(c0: float, c1: float, c2: float) -> list:
     return sorted([q / c2, c0 / q])
 
 
-def _newton_polish(p: RealPolynomial, dp: RealPolynomial, size: RealPolynomial, x: float) -> float:
-    """Newton on p from x; size holds |c_k|, so size(|x|) bounds p's rounding."""
+def _fused_terms(c) -> tuple:
+    """The coefficients of p = sum c_k x^k laid out for _fused_pass, degree >= 1:
+    (c_d, d c_d, |c_d|), then (c_k, k c_k, |c_k|) for k = d - 1 .. 1, then
+    (c_0, |c_0|)."""
+    d = len(c) - 1
+    middle = tuple((c[k], k * c[k], abs(c[k])) for k in range(d - 1, 0, -1))
+    return (c[d], d * c[d], abs(c[d])), middle, (c[0], abs(c[0]))
+
+
+def _fused_pass(terms, x: float) -> tuple:
+    """(p(x), p'(x), sum |c_k| |x|^k) in one Horner loop.
+
+    Each value takes the same floating-point steps as Horner's rule on p,
+    on its derivative's coefficients k c_k and on |c_k| at |x|; the last
+    bounds the rounding error of p(x).
+    """
+    (cd, dcd, acd), middle, (c0, ac0) = terms
+    ax = abs(x)
+    f = x * 0 + cd
+    df = x * 0 + dcd
+    size = ax * 0 + acd
+    for ck, dck, ack in middle:
+        f = f * x + ck
+        df = df * x + dck
+        size = size * ax + ack
+    return f * x + c0, df, size * ax + ac0
+
+
+def _newton_polish(terms, x: float) -> float:
+    """Newton on p from x, terms = _fused_terms(p.coeffs): one pass per step."""
     for _ in range(40):
-        fx = p(x)
-        dfx = dp(x)
+        fx, dfx, size = _fused_pass(terms, x)
         if dfx == 0 or not math.isfinite(dfx):
             break
         nxt = x - fx / dfx
@@ -139,7 +172,7 @@ def _newton_polish(p: RealPolynomial, dp: RealPolynomial, size: RealPolynomial, 
             break
         # the step from a point at the floor is still taken: it costs no
         # evaluation, and it lands at the root when x was merely close
-        if abs(nxt - x) <= 1e-15 * max(1.0, abs(nxt)) or abs(fx) <= _ROUNDING_FLOOR * size(abs(x)):
+        if abs(nxt - x) <= 1e-15 * max(1.0, abs(nxt)) or abs(fx) <= _ROUNDING_FLOOR * size:
             return nxt
         x = nxt
     return x
@@ -147,16 +180,16 @@ def _newton_polish(p: RealPolynomial, dp: RealPolynomial, size: RealPolynomial, 
 
 def _polished_roots(p: RealPolynomial, candidates) -> list:
     """Newton-polish the real candidates, keep those p certifies, dedupe."""
-    dp = p.derivative()
-    size = RealPolynomial([abs(c) for c in p.coeffs])
+    terms = _fused_terms(p.coeffs)
     roots = []
     for z in candidates:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
             continue
-        x = _newton_polish(p, dp, size, float(z.real))
-        # size(|x|), the sum of term magnitudes, is p's condition-aware
-        # scale near x; Horner overflows it to inf where ** would raise
-        if abs(p(x)) <= 1e-11 * (1.0 + size(abs(x))):
+        x = _newton_polish(terms, float(z.real))
+        # the sum of term magnitudes is p's condition-aware scale near x;
+        # Horner overflows it to inf where ** would raise
+        fx, _, size = _fused_pass(terms, x)
+        if abs(fx) <= 1e-11 * (1.0 + size):
             roots.append(x)
     roots.sort()
     deduped = []
@@ -191,20 +224,18 @@ def _single_positive_root(P: RealPolynomial) -> float:
     lead = c[-1]
     opposite = ((k, ck) for k, ck in enumerate(c) if ck != 0 and (ck > 0) != (lead > 0))
     lo, hi = 0.0, 2.0 * max(abs(ck / lead) ** (1.0 / (d - k)) for k, ck in opposite)
-    dP = P.derivative()
-    size = RealPolynomial([abs(ck) for ck in c])
+    terms = _fused_terms(c)
     x = hi
     step = before = hi
     for _ in range(200):
-        fx = P(x)
+        fx, dfx, size = _fused_pass(terms, x)
         if (fx > 0) == (lead > 0):
             hi = x
         else:
             lo = x
-        dfx = dP(x)
         nxt = x - fx / dfx if dfx != 0 else math.nan
         # P can overflow near B when the root is far out; inf is no floor
-        at_floor = math.isfinite(fx) and abs(fx) <= _ROUNDING_FLOOR * size(x)
+        at_floor = math.isfinite(fx) and abs(fx) <= _ROUNDING_FLOOR * size
         if not lo <= nxt <= hi or 2.0 * abs(nxt - x) > before:
             if at_floor:
                 return x
@@ -272,7 +303,7 @@ def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
     the whole range.  Only the roots are found from this part; signs and
     moments use every coefficient of p.
     """
-    terms = [abs(c) * _DENSITY_REACH**k if c != 0.0 else 0.0 for k, c in enumerate(p.coeffs)]
+    terms = [abs(c) * r if c != 0.0 else 0.0 for c, r in zip(p.coeffs, _REACH_POWERS)]
     deg = len(terms) - 1
     while deg > 0 and terms[deg] < sys.float_info.epsilon * sum(terms[:deg]):
         deg -= 1
@@ -297,26 +328,42 @@ def _exercise_region(p: RealPolynomial) -> tuple:
     if p.is_zero:
         return (), ()
     roots = _real_roots(_root_finding_part(p))
-    cuts = [-math.inf] + roots + [math.inf]
-    intervals = tuple(
-        (lo, hi) for lo, hi in zip(cuts, cuts[1:]) if p(_interior_point(lo, hi)) > 0
-    )
+    cuts = zip([-math.inf] + roots, roots + [math.inf])
+    c = p.coeffs
+    if any(c[1::2]):
+        intervals = tuple((lo, hi) for lo, hi in cuts if p(_interior_point(lo, hi)) > 0)
+    else:
+        # p(z) = P(z^2): the sign from P takes half of p's Horner steps
+        lead, rest = c[-1], c[-3::-2]
+        intervals = tuple((lo, hi) for lo, hi in cuts if _even_value(lead, rest, _interior_point(lo, hi)) > 0)
     return tuple(roots), intervals
+
+
+def _even_value(lead: float, rest: tuple, z: float) -> float:
+    """p(z) = P(z^2) by Horner's rule on P, for P with leading coefficient
+    lead and the other coefficients from the top down in rest."""
+    y = z * z
+    acc = lead
+    for ck in rest:
+        acc = acc * y + ck
+    return acc
 
 
 def _moment_sum(c: tuple, intervals) -> float:
     """sum_k c_k M_k(lo, hi) summed over the intervals.
 
     With every odd c_k exactly zero (an even payoff) only the even moments
-    are formed: the odd terms are +-0.0 and leave the sum unchanged.
+    are formed, each added as it is formed: the odd terms are +-0.0 and
+    leave the sum unchanged.
     """
-    if any(c[1::2]):
-        moments = gaussian_partial_moments
-    else:
-        c, moments = c[::2], _even_partial_moments
     value = 0.0
-    for lo, hi in intervals:
-        value += sum(ck * m for ck, m in zip(c, moments(len(c) - 1, lo, hi)))
+    if any(c[1::2]):
+        for lo, hi in intervals:
+            value += sum(ck * m for ck, m in zip(c, gaussian_partial_moments(len(c) - 1, lo, hi)))
+    else:
+        c = c[::2]
+        for lo, hi in intervals:
+            value += _even_moment_sum(c, lo, hi)
     return value
 
 

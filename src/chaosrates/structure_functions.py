@@ -229,14 +229,20 @@ def _residual_exp_pw(a: ExponentialDensity, b: PiecewiseConstantDensity, t: floa
     return acc
 
 def _residual_pw_pw(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity, t: float) -> float:
-    cuts = sorted(set(a.breaks) | set(b.breaks))
+    # walk the two break lists once: each segment between consecutive breaks
+    # of either has the values a.values[i] and b.values[j]; past the last
+    # break of either the product is zero and adds nothing
+    ab, bb = a.breaks, b.breaks
+    i = j = 0
     acc = 0.0
     lo = 0.0
-    for hi in cuts:
+    while i < len(ab) and j < len(bb):
+        hi = min(ab[i], bb[j])
         seg_lo = max(lo, t)
         if hi > seg_lo:
-            mid = 0.5 * (seg_lo + hi)
-            acc += math.sqrt(a.squared_density(mid) * b.squared_density(mid)) * (hi - seg_lo)
+            acc += math.sqrt(a.values[i] * b.values[j]) * (hi - seg_lo)
+        i += ab[i] == hi
+        j += bb[j] == hi
         lo = hi
     return acc
 

@@ -57,3 +57,23 @@ def scaled_hermite_chaos(m, r, q):
     if q == 0.0:
         return r**m / math.factorial(m)
     return q ** (m / 2) * hermite(m)(r / math.sqrt(q)) / math.factorial(m)
+
+
+def residual_pw_pw_by_midpoints(a, b, t):
+    """int_t^inf phi_a phi_b for two piecewise densities, the reference walk.
+
+    Cuts at the union of the breaks; each segment reads both densities at
+    its midpoint by bisection.  When a segment is one float wide its
+    midpoint can round onto the upper cut, which then reads the next
+    segment's values.
+    """
+    cuts = sorted(set(a.breaks) | set(b.breaks))
+    acc = 0.0
+    lo = 0.0
+    for hi in cuts:
+        seg_lo = max(lo, t)
+        if hi > seg_lo:
+            mid = 0.5 * (seg_lo + hi)
+            acc += math.sqrt(a.squared_density(mid) * b.squared_density(mid)) * (hi - seg_lo)
+        lo = hi
+    return acc

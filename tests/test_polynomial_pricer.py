@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 
@@ -830,18 +831,21 @@ class TestSignCertificate:
         self._agrees_with_root_isolation(price_swaption(model, spec), n, payoff, certified, scale)
 
 
-class CountingPolynomial:
-    """A RealPolynomial that counts its evaluations."""
+def count_calls(monkeypatch, *names):
+    """Count the calls of each pp.<name> under its name."""
+    counts = collections.Counter()
+    for name in names:
+        real = getattr(pp, name)
 
-    def __init__(self, p):
-        self.p, self.calls = p, 0
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
 
-    def __call__(self, x):
-        self.calls += 1
-        return self.p(x)
+        monkeypatch.setattr(pp, name, counted)
+    return counts
 
 
-def test_newton_stops_at_the_rounding_floor():
+def test_newton_stops_at_the_rounding_floor(monkeypatch):
     # an n = 16 call whose roots near +-5.04 are so ill-conditioned that
     # Newton steps from a point at the rounding floor only wander in noise
     model = call_model(16, 0.895099408233954, 0.9997013358474597)
@@ -849,10 +853,49 @@ def test_newton_stops_at_the_rounding_floor():
     size = RealPolynomial([abs(c) for c in p.coeffs])
     x = 5.042924790072165
     assert 0.0 < abs(p(x)) <= _ROUNDING_FLOOR * size(abs(x))
-    counted = CountingPolynomial(p)
-    root = _newton_polish(counted, p.derivative(), size, x)
-    assert counted.calls <= 2
+    counts = count_calls(monkeypatch, "_fused_pass")
+    root = _newton_polish(pp._fused_terms(p.coeffs), x)
+    assert counts["_fused_pass"] <= 2
     assert abs(p(root)) <= 1e-11 * term_magnitude(p, root)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=31), st.floats(-50.0, 50.0))
+@settings(max_examples=200)
+def test_fused_pass_is_three_horner_passes_bit_for_bit(c, x):
+    assume(c[-1] != 0.0)
+    p = RealPolynomial(c)
+    size = RealPolynomial([abs(ck) for ck in c])
+    assert pp._fused_pass(pp._fused_terms(p.coeffs), x) == (p(x), p.derivative()(x), size(abs(x)))
+
+
+class TestTailContractWork:
+    """The n = 16 call that sets analytic_book's tail: every c_m but the top
+    one is positive, so P has 15 positive roots near the zeros of He_15 and the
+    call is exercised on 15 short intervals."""
+
+    MODEL = call_model(16, 0.9765282605635307, 0.9986941723829467)
+    SPEC = OptionSpec(1.0, 2.0, 0.09077588699168371)
+
+    @pytest.mark.parametrize("api", [price_bond_call, call_delta])
+    def test_one_pass_per_newton_step_and_one_sign_per_interval(self, monkeypatch, api):
+        roots, intervals = pp._exercise_region(call_payoff_polynomial(self.MODEL, self.SPEC))
+        assert (len(roots), len(intervals)) == (30, 15)
+        counts = count_calls(monkeypatch, "_fused_pass", "_even_value", "_newton_polish")
+        real_call = RealPolynomial.__call__
+
+        def counted_call(p, x):
+            counts["RealPolynomial"] += 1
+            return real_call(p, x)
+
+        monkeypatch.setattr(RealPolynomial, "__call__", counted_call)
+        api(self.MODEL, self.SPEC)
+        # Newton and the root certificate evaluate p, p' and the rounding
+        # size in one fused pass: 33 passes for the 15 roots of P here
+        assert counts["_newton_polish"] == 15
+        assert counts["_fused_pass"] <= 2.5 * 15
+        # one evaluation of P(z^2) per interval between the 30 roots
+        assert counts["_even_value"] == 31
+        assert counts["RealPolynomial"] == 0
 
 
 class TestNearZeroExpiry:

@@ -15,7 +15,7 @@ from chaosrates import (
     normal_cdf,
     normal_pdf,
 )
-from chaosrates.special_functions import _even_partial_moments
+from chaosrates.special_functions import _even_moment_sum
 
 # first few probabilists' polynomials, coefficients in increasing degree
 KNOWN_HERMITE = {
@@ -158,14 +158,23 @@ def test_partial_moments_against_quadrature(lo, hi):
 
 
 @given(
-    st.integers(0, 15),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
     st.floats(-12, 12) | st.just(-math.inf),
     st.floats(-12, 12) | st.just(math.inf),
 )
 @settings(max_examples=200)
-def test_even_partial_moments_are_the_even_entries_bit_for_bit(j, a, b):
+def test_even_moment_sum_is_the_weighted_even_entries_bit_for_bit(c, a, b):
     lo, hi = min(a, b), max(a, b)
-    assert _even_partial_moments(j, lo, hi) == gaussian_partial_moments(2 * j, lo, hi)[::2]
+    want = 0.0  # left to right, as sum() adds floats before Python 3.12
+    for cj, m in zip(c, gaussian_partial_moments(2 * len(c) - 2, lo, hi)[::2]):
+        want += cj * m
+    assert _even_moment_sum(c, lo, hi) == want
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_even_moment_sum_rejects_a_bad_interval(a, b):
+    with pytest.raises(ValueError, match="invalid integration interval"):
+        _even_moment_sum((1.0, 2.0), a, b)
 
 
 def test_full_line_moments_are_gaussian_moments():

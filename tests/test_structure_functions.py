@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -18,7 +18,7 @@ from chaosrates import (
 )
 from chaosrates.coherent_model import pair_sum
 from chaosrates.structure_functions import from_descriptor, to_descriptor
-from support import LookupBracket
+from support import LookupBracket, residual_pw_pw_by_midpoints
 
 
 class TestExponentialDensity:
@@ -185,6 +185,50 @@ def test_pair_sum_at_the_origin_is_the_simplex_integral():
 def test_density_pair_without_a_closed_form_is_refused():
     with pytest.raises(ValueError, match="'lookup', 'exponential'"):
         residual_inner_product(LookupBracket({}), ExponentialDensity(0.4), 1.0)
+
+
+_BREAKS = st.lists(st.floats(0.01, 40.0), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def piecewise_pair_and_time(draw):
+    """Two piecewise densities that share some breaks, and a t before, on or
+    after one of their breaks, or anywhere."""
+    a_breaks = draw(_BREAKS)
+    shared = draw(st.lists(st.sampled_from(a_breaks), max_size=len(a_breaks), unique=True))
+    b_breaks = sorted(set(draw(_BREAKS)) | set(shared))
+    values = st.floats(0.0, 3.0)
+    a_values = draw(st.lists(values, min_size=len(a_breaks), max_size=len(a_breaks)))
+    b_values = draw(st.lists(values, min_size=len(b_breaks), max_size=len(b_breaks)))
+    assume(sum(a_values) > 0.1 and sum(b_values) > 0.1)
+    a = PiecewiseConstantDensity(tuple(a_breaks), tuple(a_values))
+    b = PiecewiseConstantDensity(tuple(b_breaks), tuple(b_values))
+    brk = draw(st.sampled_from(a_breaks + b_breaks))
+    t = draw(st.sampled_from([0.0, brk, brk - 0.5 * min(brk, 1.0), brk + 0.5]) | st.floats(0.0, 45.0))
+    return a, b, t
+
+
+@given(piecewise_pair_and_time())
+@example((PiecewiseConstantDensity((1.0, 2.0), (1.0, 2.0)), PiecewiseConstantDensity((2.0, 3.0), (0.5, 1.5)), 2.0))
+@settings(max_examples=300)
+def test_merged_break_walk_is_the_midpoint_walk_bit_for_bit(pair):
+    a, b, t = pair
+    cuts = sorted({0.0, t, *a.breaks, *b.breaks})
+    # where a segment is one float wide the reference's midpoint can land
+    # on the upper cut: see test_one_float_segment_reads_its_own_values
+    assume(all(lo < 0.5 * (lo + hi) < hi for lo, hi in zip(cuts, cuts[1:])))
+    for x, y in ((a, b), (b, a)):
+        assert residual_inner_product(x, y, t) == residual_pw_pw_by_midpoints(x, y, t)
+
+
+def test_one_float_segment_reads_its_own_values():
+    # t one float below the break at 1: the segment (t, 1] has density 1,
+    # but the midpoint 0.5 * (t + 1) rounds to 1, where the reference reads 0
+    a = PiecewiseConstantDensity((1.0, 2.0), (1.0, 0.0))
+    t = math.nextafter(1.0, 0.0)
+    assert 0.5 * (t + 1.0) == 1.0
+    assert residual_inner_product(a, a, t) == 1.0 - t
+    assert residual_pw_pw_by_midpoints(a, a, t) == 0.0
 
 
 def test_atom_products_pair_only_coincident_times():
