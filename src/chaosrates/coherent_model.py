@@ -16,9 +16,7 @@ from a structure function.  Closed forms implemented here:
 
       pi_t = sum_{N=1..n} g^N / N! (X_t^(n-N))^2,
 
-  a polynomial of degree 2n - 2 in R_t with pi_0 = 1/n!; linearised, it is
-  sum_{k=1..n} w_k (1 - Q_t^k) X_t^(2n-2k), w_k = (2(n-k))! / (k! ((n-k)!)^2),
-  the coefficient form kernel_polynomial builds for the payoff pricers;
+  a polynomial of degree 2n - 2 in R_t with pi_0 = 1/n!;
 
 * discount bonds P(t, T) = E_t[pi_T] / pi_t, with h = Q_T - Q_t,
 
@@ -34,7 +32,10 @@ from a structure function.  Closed forms implemented here:
       lambda_t = -2 phi_t sum_{N=1..n-1} g^N / N! X_t^(n-N) X_t^(n-N-1) / pi_t.
 
 pair_sum evaluates every one of these sums from X^(0..n-1), at one state
-or broadcast over arrays of simulated states.
+or broadcast over arrays of simulated states.  As polynomials in R_t,
+product_weights gives their weights and squares_polynomial expands them
+from the exact squares of the chaos polynomials: the kernel polynomial and
+every option payoff and delta are built from these two.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .special_functions import RealPolynomial
 from .structure_functions import GaussianState, StructureFunction
 
 MAX_ORDER = 20
+
+# N! for N = 0..MAX_ORDER, each exact in a float
+_FACTORIALS = tuple(float(math.factorial(N)) for N in range(MAX_ORDER + 1))
 
 
 def check_order(n) -> None:
@@ -72,16 +76,21 @@ class CoherentModel:
 
 @lru_cache(maxsize=None)
 def _chaos_terms(m: int) -> tuple:
-    # (coefficient, power of R, power of Q) triples for X^(m); exact
-    # monomial coefficients for chaos_polynomial
+    # (exact Fraction coefficient, power of R, power of Q) triples for X^(m)
     return tuple(
-        (
-            float(Fraction((-1) ** k, math.factorial(k) * math.factorial(m - 2 * k) * 2**k)),
-            m - 2 * k,
-            k,
-        )
+        (Fraction((-1) ** k, math.factorial(k) * math.factorial(m - 2 * k) * 2**k), m - 2 * k, k)
         for k in range(m // 2 + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _squared_terms(m: int) -> tuple:
+    # the same triples for (X^(m))^2, each coefficient exact, then rounded once
+    exact = {}
+    for a, i, j in _chaos_terms(m):
+        for b, i2, j2 in _chaos_terms(m):
+            exact[i + i2, j + j2] = exact.get((i + i2, j + j2), 0) + a * b
+    return tuple((float(c), i, j) for (i, j), c in exact.items())
 
 
 def iter_chaos_values(m: int, r, q):
@@ -134,7 +143,7 @@ def chaos_polynomial(m: int, q: float) -> RealPolynomial:
         return RealPolynomial((0.0,))
     coeffs = [0.0] * (m + 1)
     for coef, i, j in _chaos_terms(m):
-        coeffs[i] = coef * q**j
+        coeffs[i] = float(coef) * q**j
     return RealPolynomial(tuple(coeffs))
 
 
@@ -149,25 +158,37 @@ def kernel_coefficient(n: int, k: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
-def _kernel_weights(n: int) -> tuple:
-    # float w_1 .. w_n of the order-n kernel
-    return tuple(float(kernel_coefficient(n, k)) for k in range(1, n + 1))
+def product_weights(n: int, g, g_T) -> list:
+    """[(g^N - h^N) / N! for N = 1..n <= MAX_ORDER], h = g - g_T: the product-formula weights.
 
-
-def even_chaos_polynomial(n: int, coeffs, q: float) -> RealPolynomial:
-    """sum_{k=1..n} coeffs[k-1] X^(2n-2k) as one polynomial in R, bracket q frozen.
-
-    The polynomial primitive behind every coherent payoff: each nonzero
-    weight is added into a single coefficient list in k order, with the
-    rounding of a per-k sum of c * chaos_polynomial(2n - 2k, q).
+    g^N - h^N is built as pair_sum builds it, d <- g d + h^(N-1) g_T, a sum
+    of nonnegative terms that cancels nothing; g_T = g gives g^N / N!.
     """
-    out = [0.0] * (2 * n - 1)
-    q_powers = [q**p for p in range(n)]
-    for k, c in enumerate(coeffs, 1):
-        if c != 0.0:
-            for a, i, p in _chaos_terms(2 * n - 2 * k):
-                out[i] += c * (a * q_powers[p])
+    h = g - g_T
+    d = 0.0
+    h_power = 1.0
+    out = []
+    for factorial in _FACTORIALS[1 : n + 1]:
+        d = g * d + h_power * g_T
+        h_power *= h
+        out.append(d / factorial)
+    return out
+
+
+def squares_polynomial(c, q: float) -> RealPolynomial:
+    """sum_m c[m] (X^(m))^2 as one polynomial in R, bracket q frozen.
+
+    Each square is expanded from its exact coefficients, rounded once; its
+    powers of R are even, so every odd coefficient is exactly zero.  As
+    (X^(m)(sqrt(q) z, q))^2 = q^m (X^(m)(z, 1))^2, a payoff in z is
+    squares_polynomial([c_m q^m], 1.0).
+    """
+    out = [0.0] * (2 * len(c) - 1)
+    q_powers = [q**p for p in range(len(c))]
+    for m, cm in enumerate(c):
+        if cm != 0.0:
+            for b, i, j in _squared_terms(m):
+                out[i] += cm * (b * q_powers[j])
     return RealPolynomial(out)
 
 
@@ -177,8 +198,7 @@ def kernel_polynomial(n: int, q_state: float, q_maturity: float) -> RealPolynomi
     With q_maturity = q_state this is the kernel itself; with q_maturity read
     at a bond maturity it is the bond-price numerator.  Degree is 2n - 2.
     """
-    w = _kernel_weights(n)
-    return even_chaos_polynomial(n, [w[k - 1] * (1.0 - q_maturity**k) for k in range(1, n + 1)], q_state)
+    return squares_polynomial(product_weights(n, 1.0 - q_state, 1.0 - q_maturity)[::-1], q_state)
 
 
 def pair_sum(a: int, b: int, xi, xj, g, g_T):

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherent_model import chaos_values, check_order, pair_sum
+from .special_functions import left_sum
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class AtomGrid:
             )
         if any(w < 0 or w > 1 for w in weights):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(sum(weights) - 1) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
+        if abs(left_sum(weights) - 1) > 1e-12:
+            raise ValueError(f"weights must sum to 1 within 1e-12, got {left_sum(weights)!r}")
         object.__setattr__(self, "maturities", mats)
         object.__setattr__(self, "weights", weights)
 

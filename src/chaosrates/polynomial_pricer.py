@@ -20,10 +20,17 @@ steps.  The moment sum of an even p reads only its even moments, adding
 each term as its moment is formed, and call_delta reuses the payoff's
 exercise intervals without summing the payoff's own moments.
 
-Before any root is sought, calls and swaptions try a sign certificate.
-Each payoff is a sum of squares p = sum_{m<n} c_m (X^(m))^2, and when every
-c_m has one sign, so has p on the whole line: the exercise region is then
-empty or the whole line, read from the brackets in O(1) or O(dates).
+Every payoff and delta is a sum of squares sum_{m<n} c_m (X^(m))^2 at
+expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
+
+    call      c_m = (1 - K) (g^N - h^N) / N! - K h^N / N!,
+    swaption  c_m = h_N^N / N! - K sum_i (g^N - h_i^N) / N!,
+    delta     d_m = h^(N-1) / ((N-1)! n Q_T^(n-1)),
+
+each c_m the difference of two product_weights terms of one sign, and the
+payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign certificate
+reads the c_m first: all negative, the payoff is negative everywhere; all
+positive, it is at least c_0 > 0 everywhere.  Only the rest need roots.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, CoherentModel, _kernel_weights, even_chaos_polynomial
-from .special_functions import RealPolynomial, _even_moment_sum, gaussian_partial_moments
+from .coherent_model import MAX_ORDER, CoherentModel, product_weights, squares_polynomial
+from .special_functions import RealPolynomial, _even_moment_sum, gaussian_partial_moments, left_sum
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
@@ -50,9 +57,6 @@ _DENSITY_REACH = 40.0
 
 # _DENSITY_REACH**k up to the degree 2n - 2 of a payoff of the highest order
 _REACH_POWERS = tuple(_DENSITY_REACH**k for k in range(2 * MAX_ORDER - 1))
-
-# the exercise intervals of a payoff certified positive everywhere
-_WHOLE_LINE = ((-math.inf, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,7 @@ def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
     """
     terms = [abs(c) * r if c != 0.0 else 0.0 for c, r in zip(p.coeffs, _REACH_POWERS)]
     deg = len(terms) - 1
-    while deg > 0 and terms[deg] < sys.float_info.epsilon * sum(terms[:deg]):
+    while deg > 0 and terms[deg] < sys.float_info.epsilon * left_sum(terms[:deg]):
         deg -= 1
     return p if deg == p.degree else RealPolynomial(p.coeffs[: deg + 1])
 
@@ -359,7 +363,7 @@ def _moment_sum(c: tuple, intervals) -> float:
     value = 0.0
     if any(c[1::2]):
         for lo, hi in intervals:
-            value += sum(ck * m for ck, m in zip(c, gaussian_partial_moments(len(c) - 1, lo, hi)))
+            value += left_sum(ck * m for ck, m in zip(c, gaussian_partial_moments(len(c) - 1, lo, hi)))
     else:
         c = c[::2]
         for lo, hi in intervals:
@@ -389,44 +393,42 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
     q_T = model.sf.q_at(spec.bond_maturity)
     if q_t == 0:
         raise ValueError("no variance accrues by option expiry; the payoff is deterministic")
-    return _call_payoff(model.n, spec.strike, q_t, q_T)
+    return _in_z(_call_squares(model.n, spec.strike, q_t, q_T), q_t)
 
 
-def _call_payoff(n: int, strike: float, q_t: float, q_T: float) -> RealPolynomial:
-    # the call payoff polynomial from brackets already read, Q_t > 0
-    w = _kernel_weights(n)
-    coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
-    return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
+def _call_squares(n: int, strike: float, q_t: float, q_T: float) -> list:
+    # c_0 .. c_(n-1) of the call payoff pi_t (P(t, T) - K)
+    h = q_T - q_t
+    bond, drift = product_weights(n, 1.0 - q_t, 1.0 - q_T), product_weights(n, h, h)
+    return [(1.0 - strike) * a - strike * b for a, b in zip(bond[::-1], drift[::-1])]
 
 
-def _check_degree(n: int) -> None:
-    # the cap _exercise_region enforces, checked before any certificate so
-    # that a certified contract above it is refused like any other
-    if 2 * n - 2 > MAX_DEGREE:
-        raise ValueError(f"polynomial degree {2 * n - 2} exceeds the supported maximum {MAX_DEGREE}")
+def _in_z(c: list, q_t: float) -> RealPolynomial:
+    # sum_m c_m (X^(m)(sqrt(q_t) z, q_t))^2 as a polynomial in z
+    return squares_polynomial([cm * q_t**m for m, cm in enumerate(c)], 1.0)
 
 
-def _call_certificate(n: int, strike: float, q_t: float, q_T: float):
-    """The call's exercise intervals when the brackets settle them, else None.
-
-    The payoff is sum_{m<n} c_m (X^(m))^2 with c_m = ((1 - K) g^N - h^N) / N!,
-    N = n - m, g = 1 - Q_t and h = Q_T - Q_t <= g.  The sign of c_m is that
-    of (1 - K) - (h / g)^N, which increases with N: c_m < 0 for every m when
-    it holds at N = n, and c_m > 0 for every m when it holds at N = 1.  The
-    tests are strict, so a certified payoff has no root.
-    """
-    _check_degree(n)
-    g, h = 1.0 - q_t, q_T - q_t
-    if (1.0 - strike) * g**n < h**n:
+def _sign_certificate(c: list):
+    """The exercise intervals of sum_m c_m (X^(m))^2 if the signs of the c_m
+    settle them, else None: every c_m < 0, none; every c_m > 0, the whole
+    line, as the payoff is at least c_0 > 0.  The tests are strict, so a
+    certified payoff has no root.  A payoff above the degree cap of
+    _exercise_region is refused first, certified or not."""
+    if 2 * len(c) - 2 > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {2 * len(c) - 2} exceeds the supported maximum {MAX_DEGREE}")
+    if max(c) < 0.0:
         return ()
-    if (1.0 - strike) * g > h:
-        return _WHOLE_LINE
+    if min(c) > 0.0:
+        return ((-math.inf, math.inf),)
     return None
 
 
-def _price(n: int, p: RealPolynomial, intervals) -> float:
-    """n! E[(p(Z))+] over certified intervals, or by expected_positive_part
-    when the certificate left them open (None)."""
+def _price(n: int, c: list, q_t: float) -> float:
+    """n! E[(p(Z))+] of the payoff with squared-form coefficients c."""
+    intervals = _sign_certificate(c)
+    if intervals == ():
+        return 0.0
+    p = _in_z(c, q_t)
     if intervals is None:
         return math.factorial(n) * expected_positive_part(p).value
     return math.factorial(n) * max(_moment_sum(p.coeffs, intervals), 0.0)
@@ -439,10 +441,7 @@ def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
     q_T = model.sf.q_at(spec.bond_maturity)
     if q_t == 0:
         return max((1.0 - q_T**n) - spec.strike, 0.0)
-    intervals = _call_certificate(n, spec.strike, q_t, q_T)
-    if intervals == ():
-        return 0.0
-    return _price(n, _call_payoff(n, spec.strike, q_t, q_T), intervals)
+    return _price(n, _call_squares(n, spec.strike, q_t, q_T), q_t)
 
 
 def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
@@ -450,9 +449,9 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
 
     Differentiates the moment representation directly; boundary terms vanish
     because the payoff polynomial is zero at every interval endpoint, so only
-    the coefficient sensitivities survive.  The payoff supplies its roots and
-    exercise intervals only; its own moment sum, the price, is never formed,
-    and a payoff whose sign the brackets certify is not built at all.
+    the coefficient sensitivities d_m survive.  The payoff supplies its roots
+    and exercise intervals only; its own moment sum, the price, is never
+    formed, and a payoff whose sign its coefficients certify is not built.
     """
     n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
@@ -462,19 +461,19 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    intervals = _call_certificate(n, spec.strike, q_t, q_T)
+    c = _call_squares(n, spec.strike, q_t, q_T)
+    intervals = _sign_certificate(c)
     if intervals == ():
         return 0.0
     if intervals is None:
-        roots, intervals = _exercise_region(_call_payoff(n, spec.strike, q_t, q_T))
+        roots, intervals = _exercise_region(_in_z(c, q_t))
         for r in roots:
             if abs(r) <= 1e-9:
                 raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
-    # dQ_T/dP(0,T) = -1 / (n Q_T^(n-1)); chain rule through each coefficient
     denom = n * q_T ** (n - 1)
-    w = _kernel_weights(n)
-    coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
-    sens = even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
+    h = q_T - q_t
+    d = [1.0] + product_weights(n - 1, h, h)  # h^(N-1) / (N-1)!, N = 1..n
+    sens = _in_z([d[N - 1] / denom for N in range(n, 0, -1)], q_t)
     return math.factorial(n) * _moment_sum(sens.coeffs, intervals)
 
 
@@ -483,38 +482,15 @@ def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> Real
     q_t = model.sf.q_at(spec.option_maturity)
     if q_t == 0:
         raise ValueError("no variance accrues by swaption expiry; the payoff is deterministic")
-    return _swaption_payoff(model.n, spec.strike, q_t, [model.sf.q_at(T) for T in spec.payment_dates])
+    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
+    return _in_z(_swaption_squares(model.n, spec.strike, q_t, q_pay), q_t)
 
 
-def _swaption_payoff(n: int, strike: float, q_t: float, q_pay: list) -> RealPolynomial:
-    # the swaption payoff polynomial from brackets already read, Q_t > 0
-    q_last = q_pay[-1]
-    w = _kernel_weights(n)
-    coeffs = [
-        w[k - 1] * ((q_last**k - q_t**k) - strike * sum(1.0 - q**k for q in q_pay))
-        for k in range(1, n + 1)
-    ]
-    return even_chaos_polynomial(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
-
-
-def _swaption_certificate(n: int, strike: float, q_t: float, q_pay: list):
-    """The swaption's exercise intervals when the brackets settle them, else None.
-
-    The payoff is sum_{m<n} c_m (X^(m))^2 with
-    c_m = (h_N^N - K sum_i (g^N - h_i^N)) / N!, N = n - m, g = 1 - Q_t and
-    h_i = Q_{T_i} - Q_t <= g.  Divided by g^N, the first term falls with N
-    and the sum grows, so the sign of c_m decreases with N: c_m < 0 for
-    every m when it holds at N = 1, and c_m > 0 for every m when it holds
-    at N = n.  The tests are strict, so a certified payoff has no root.
-    """
-    _check_degree(n)
-    g = 1.0 - q_t
-    h = [q - q_t for q in q_pay]
-    if h[-1] < strike * sum(g - h_i for h_i in h):
-        return ()
-    if h[-1] ** n > strike * sum(g**n - h_i**n for h_i in h):
-        return _WHOLE_LINE
-    return None
+def _swaption_squares(n: int, strike: float, q_t: float, q_pay: list) -> list:
+    # c_0 .. c_(n-1) of the swaption payoff pi_t (1 - P(t, T_N) - K sum_i P(t, T_i))
+    h = q_pay[-1] - q_t
+    fixed = [left_sum(w) for w in zip(*[product_weights(n, 1.0 - q_t, 1.0 - q) for q in q_pay])]
+    return [a - strike * b for a, b in zip(product_weights(n, h, h)[::-1], fixed[::-1])]
 
 
 def price_swaption(model: CoherentModel, spec: SwaptionSpec) -> float:
@@ -523,9 +499,6 @@ def price_swaption(model: CoherentModel, spec: SwaptionSpec) -> float:
     q_t = model.sf.q_at(spec.option_maturity)
     q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
     if q_t == 0:
-        fixed_leg = spec.strike * sum(1.0 - q**n for q in q_pay)
+        fixed_leg = spec.strike * left_sum(1.0 - q**n for q in q_pay)
         return max((1.0 - q_t**n) - (1.0 - q_pay[-1] ** n) - fixed_leg, 0.0)
-    intervals = _swaption_certificate(n, spec.strike, q_t, q_pay)
-    if intervals == ():
-        return 0.0
-    return _price(n, _swaption_payoff(n, spec.strike, q_t, q_pay), intervals)
+    return _price(n, _swaption_squares(n, spec.strike, q_t, q_pay), q_t)

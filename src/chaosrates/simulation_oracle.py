@@ -16,7 +16,7 @@ import numpy as np
 from .coherent_model import CoherentModel, chaos_value, chaos_values, kernel_coefficient
 from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
 from .polynomial_pricer import BondSpec, OptionSpec, SwaptionSpec
-from .special_functions import RealPolynomial
+from .special_functions import RealPolynomial, left_sum
 from .structure_functions import GaussianState
 
 # samples drawn and evaluated at a time by mc_price; chunked draws from one
@@ -134,7 +134,7 @@ def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
             if abs(root.imag) < 1e-9 and -12.0 < root.real < 12.0:
                 cuts.append(float(root.real))
     cuts.sort()
-    return math.factorial(order) * sum(
+    return math.factorial(order) * left_sum(
         adaptive_simpson(integrand, a, b, tol=1e-11)
         for a, b in zip(cuts, cuts[1:])
     )
@@ -212,12 +212,12 @@ def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
     t, weight, legs, clipped = _payoff_legs(payoff)
     q = model.sf.q_at(t)
     levels = [(q, weight)] + [(model.sf.q_at(T), b) for T, b in legs]
-    total = sum(b for _, b in levels)
+    total = left_sum(b for _, b in levels)
     # n! w_k is exact before rounding, and sum b (1 - q^k) is summed as
     # total - sum b q^k, so nearby levels cancel in q^k, not in 1 - q^k
     a = [
         float(math.factorial(n) * kernel_coefficient(n, n - j))
-        * (total - sum(b * q_T ** (n - j) for q_T, b in levels))
+        * (total - left_sum(b * q_T ** (n - j) for q_T, b in levels))
         * q**j
         / math.factorial(2 * j)
         for j in range(n)
@@ -274,7 +274,7 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     grams = [residual_gram_matrix(model, T) for T, _ in legs]
     gram_t, gram_0 = residual_gram_matrix(model, t), residual_gram_matrix(model, 0.0)
     # at t = 0 every X^(m >= 1) vanishes: only s = n_i = n_j survives
-    pi_0 = sum(
+    pi_0 = left_sum(
         c[i] * c[j] * gram_0[i, j] ** ti.order / math.factorial(ti.order)
         for i, ti in enumerate(terms)
         for j, tj in enumerate(terms)
@@ -293,7 +293,7 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
                 for (_, leg_weight), gram_T in zip(legs, grams):
                     g_T = gram_T[i, j]
                     h = g - g_T
-                    value += leg_weight * g_T * sum(g**k * h ** (s - 1 - k) for k in range(s))
+                    value += leg_weight * g_T * left_sum(g**k * h ** (s - 1 - k) for k in range(s))
                 coef = scale * value / math.factorial(s)
                 (a, u), (b, v) = sorted([(ti.order - s, i), (tj.order - s, j)])
                 if b == 0:

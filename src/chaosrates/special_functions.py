@@ -99,9 +99,13 @@ class RealPolynomial:
             return RealPolynomial([0.0])
         return RealPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def scale_argument(self, s) -> "RealPolynomial":
-        """Return the polynomial q with q(x) = p(s*x); exact-zero coefficients stay as they are."""
-        return RealPolynomial([c * s**k if c != 0.0 else c for k, c in enumerate(self.coeffs)])
+
+def left_sum(values):
+    """sum(values) added left to right from 0 without compensation, as sum() does before Python 3.12."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 @lru_cache(maxsize=None)

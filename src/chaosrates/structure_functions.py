@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special_functions import left_sum
+
 
 class StructureFunction(ABC):
     """Common interface: Q_t and the density phi**2."""
@@ -105,7 +107,7 @@ class PiecewiseConstantDensity(StructureFunction):
         if any(v < 0 for v in values):
             raise ValueError("density values must be nonnegative")
         lengths = [b2 - b1 for b1, b2 in zip((0.0,) + breaks, breaks)]
-        mass = sum(v * w for v, w in zip(values, lengths))
+        mass = left_sum(v * w for v, w in zip(values, lengths))
         if not mass > 0:
             raise ValueError("density must have positive total mass")
         # divide by the mass: its reciprocal overflows for a subnormal mass
@@ -161,7 +163,7 @@ class DiscreteAtoms(StructureFunction):
             raise ValueError("atom times must be strictly increasing and positive")
         if any(w < 0 for w in weights):
             raise ValueError("atom weights must be nonnegative")
-        total = sum(weights)
+        total = left_sum(weights)
         if not total > 0:
             raise ValueError("atom weights must have positive sum")
         if total != 1:
@@ -176,7 +178,7 @@ class DiscreteAtoms(StructureFunction):
 
     def q_at(self, t):
         _check_time(t)
-        return sum(w for T, w in zip(self.times, self.weights) if T <= t)
+        return left_sum(w for T, w in zip(self.times, self.weights) if T <= t)
 
     def squared_density(self, t):
         # distributional density; between atoms (and, by convention, at them)
@@ -250,9 +252,7 @@ def _residual_atoms_atoms(a: DiscreteAtoms, b: DiscreteAtoms, t: float) -> float
     # products of atom square-roots contribute only at coincident times;
     # atoms at distinct times multiply to zero by convention
     wb = dict(zip(b.times, b.weights))
-    return sum(
-        math.sqrt(wa * wb[T]) for T, wa in zip(a.times, a.weights) if T > t and T in wb
-    )
+    return left_sum(math.sqrt(wa * wb[T]) for T, wa in zip(a.times, a.weights) if T > t and T in wb)
 
 
 def residual_inner_product(sf_i: StructureFunction, sf_j: StructureFunction, t: float) -> float:
@@ -301,8 +301,8 @@ def _from_descriptor_fields(d: dict, fam):
         return ExponentialDensity(rate=float(d["lambda"]))
     if fam == "atoms":
         weights = [float(w) for w in d["weights"]]
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"atom weights must sum to 1 within 1e-9, got sum {sum(weights)!r}")
+        if abs(left_sum(weights) - 1.0) > 1e-9:
+            raise ValueError(f"atom weights must sum to 1 within 1e-9, got sum {left_sum(weights)!r}")
         return DiscreteAtoms(times=tuple(float(t) for t in d["times"]), weights=tuple(weights))
     if fam == "piecewise":
         return PiecewiseConstantDensity(

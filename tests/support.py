@@ -1,8 +1,10 @@
 """Shared test helpers."""
 
 import math
+import sys
+from fractions import Fraction
 
-from chaosrates import RealPolynomial, StructureFunction, chaos_polynomial, hermite
+from chaosrates import StructureFunction, hermite
 
 
 class LookupBracket(StructureFunction):
@@ -24,13 +26,44 @@ class LookupBracket(StructureFunction):
         return 0.0
 
 
-def per_k_chaos_sum(n, coeffs, q):
-    """sum_k coeffs[k-1] X^(2n-2k) added up one chaos_polynomial at a time."""
-    acc = RealPolynomial((0.0,))
-    for k, c in enumerate(coeffs, 1):
-        if c != 0.0:
-            acc = acc + c * chaos_polynomial(2 * n - 2 * k, q)
-    return acc
+def exact_chaos_coefficients(m, q):
+    """X^(m)(R, q) = q^(m/2) He_m(R / sqrt(q)) / m! as exact monomial
+    coefficients in R, from the integer Hermite coefficients; q a Fraction.
+    He_m has only powers of R of the parity of m, so every power of q is whole."""
+    out = [Fraction(0)] * (m + 1)
+    for i, h in enumerate(hermite(m).coeffs):
+        if h:
+            out[i] = Fraction(h) * q ** ((m - i) // 2) / math.factorial(m)
+    return out
+
+
+def exact_squares(c, q):
+    """(coefficients, magnitudes) of sum_m c[m] (X^(m)(R, q))^2 in R, in
+    exact Fractions: each square expanded from exact_chaos_coefficients,
+    and magnitudes[i] = sum_m |c[m]| |coefficient of R^i in (X^(m))^2|,
+    the size of the terms before they cancel."""
+    q = Fraction(q)
+    coeffs = [Fraction(0)] * (2 * len(c) - 1)
+    magnitudes = [Fraction(0)] * (2 * len(c) - 1)
+    for m, cm in enumerate(c):
+        x = exact_chaos_coefficients(m, q)
+        square = [Fraction(0)] * (2 * m + 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(x):
+                square[i + j] += a * b
+        for i, b in enumerate(square):
+            coeffs[i] += Fraction(cm) * b
+            magnitudes[i] += abs(Fraction(cm) * b)
+    return coeffs, magnitudes
+
+
+def assert_within_rounding(got, want, magnitudes, ulps):
+    """|got[i] - want[i]| <= ulps * eps * magnitudes[i] for every coefficient,
+    got padded with the zeros RealPolynomial strips from its top."""
+    assert len(got) <= len(want)
+    got = tuple(got) + (0.0,) * (len(want) - len(got))
+    for g, w, size in zip(got, want, magnitudes):
+        assert abs(Fraction(g) - w) <= ulps * Fraction(sys.float_info.epsilon) * size, (g, float(w), float(size))
 
 
 def banded_projection(h, a, b, xi, xj):

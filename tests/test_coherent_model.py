@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from chaosrates import (
     chaos_polynomial,
     chaos_value,
     chaos_values,
-    even_chaos_polynomial,
     initial_bond_price,
     kernel_coefficient,
     kernel_polynomial,
@@ -28,9 +28,11 @@ from chaosrates.coherent_model import (
     _chaos_terms,
     from_descriptor,
     pair_sum,
+    product_weights,
+    squares_polynomial,
     to_descriptor,
 )
-from support import banded_projection, per_k_chaos_sum, scaled_hermite_chaos
+from support import assert_within_rounding, banded_projection, exact_squares, scaled_hermite_chaos
 
 SF = ExponentialDensity(0.1)
 
@@ -65,7 +67,7 @@ def test_chaos_value_low_orders():
 
 def _term_scale(m, r, q):
     # sum of |monomial terms| of X^(m): the size a float evaluation rounds at
-    return sum(abs(c) * np.abs(r) ** i * q**j for c, i, j in _chaos_terms(m))
+    return sum(float(abs(c)) * np.abs(r) ** i * q**j for c, i, j in _chaos_terms(m))
 
 
 def test_chaos_values_agree_with_hermite_and_polynomial_forms():
@@ -170,22 +172,47 @@ def test_kernel_polynomial_degree_and_value():
         assert poly(-0.9) == pytest.approx(pricing_kernel(model, state), rel=1e-12)
 
 
+@given(st.integers(1, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_product_weights_match_exact_fractions(n, g, frac):
+    # every term of the recurrence is nonnegative, so each weight carries a
+    # relative error of a few roundings per order, however close h is to g;
+    # a subnormal weight adds up to one unit of 5e-324 per rounding
+    g_T = g * frac
+    h = Fraction(g - g_T)  # the difference product_weights forms, exact here
+    G, G_T = Fraction(g), Fraction(g_T)
+    for N, got in enumerate(product_weights(n, g, g_T), 1):
+        want = G_T * sum(G**k * h ** (N - 1 - k) for k in range(N)) / math.factorial(N)
+        assert abs(Fraction(got) - want) <= 4 * N * (Fraction(sys.float_info.epsilon) * want + Fraction(5e-324))
+
+
 @given(
-    st.integers(1, 16),
-    st.lists(st.floats(-1e3, 1e3) | st.just(0.0), min_size=16, max_size=16),
-    st.floats(0.0, 1.0),
+    st.integers(1, 20),
+    st.lists(st.integers(-(2**20), 2**20), min_size=20, max_size=20),
+    st.integers(0, 2**10),
 )
-@settings(max_examples=200)
-def test_even_chaos_polynomial_equals_per_k_sum_exactly(n, coeffs, q):
-    assert even_chaos_polynomial(n, coeffs[:n], q).coeffs == per_k_chaos_sum(n, coeffs[:n], q).coeffs
+@settings(max_examples=100, deadline=None)
+def test_squares_polynomial_matches_exact_squares_on_dyadic_inputs(n, numerators, q_numerator):
+    # dyadic weights and bracket are exact floats, so the Fraction
+    # construction from the integer Hermite coefficients is the exact sum
+    c = [k / 2**10 for k in numerators[:n]]
+    q = q_numerator / 2**10
+    want, magnitudes = exact_squares(c, q)
+    got = squares_polynomial(c, q).coeffs
+    assert_within_rounding(got, want, magnitudes, n + 4)
 
 
-@given(st.integers(1, 16), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=200)
-def test_kernel_polynomial_equals_per_k_sum_exactly(n, q_state, gap):
+@given(st.integers(1, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_kernel_polynomial_matches_exact_squares(n, q_state, gap):
+    # E_t[pi_T] = sum_N (g^N - h^N) / N! (X^(n-N))^2 from the float brackets
+    # taken as exact; the weights add a few roundings per order
     q_maturity = q_state + gap * (1.0 - q_state)
-    coeffs = [float(kernel_coefficient(n, k)) * (1.0 - q_maturity**k) for k in range(1, n + 1)]
-    assert kernel_polynomial(n, q_state, q_maturity).coeffs == per_k_chaos_sum(n, coeffs, q_state).coeffs
+    g, h = 1 - Fraction(q_state), Fraction(q_maturity) - Fraction(q_state)
+    weights = [(g ** (n - m) - h ** (n - m)) / math.factorial(n - m) for m in range(n)]
+    want, magnitudes = exact_squares(weights, q_state)
+    got = kernel_polynomial(n, q_state, q_maturity).coeffs
+    assert_within_rounding(got, want, magnitudes, 8 * n)
 
 
 @given(st.integers(1, 5), st.floats(-2.5, 2.5), st.floats(0.0, 0.99))

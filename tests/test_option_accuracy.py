@@ -17,10 +17,11 @@ between them, and the truncated Gaussian moments of the intervals where
 p > 0 are summed in mpmath.  The price is n! times that sum.
 
 The bounds hold, per order, the p90 and the maximum of the relative error
-|got - want| / |want| (the absolute error where the reference is zero) of
-pricing on p's monomial coefficients.  They record that accuracy, not a
-target: pricing in the sum-of-squares form (ROADMAP D4 step 3) is expected
-to tighten them.
+|got - want| / |want| (the absolute error where the reference is zero).
+The pricer builds each payoff from its sum-of-squares weights, so what the
+bounds record is the rounding of the monomial moment sum over the exercise
+intervals; pricing the squared form itself (ROADMAP D4) is expected to
+tighten them further.
 """
 
 import math
@@ -43,6 +44,7 @@ from chaosrates import (
     price_swaption,
 )
 from chaosrates import polynomial_pricer as pp
+from chaosrates.special_functions import left_sum
 
 ORDERS = (5, 8, 12, 16)
 FAMILIES = {
@@ -61,13 +63,11 @@ mp = mpmath.mp.clone()
 mp.dps = 60
 
 # per order: (p90, max) of the relative error, twice the measured value
-# rounded up to two digits.  Each value is the larger of two readings: with
-# sum() adding floats left to right, and with the compensated sum() of
-# Python 3.12 on (which moves the atoms family's brackets by rounding)
+# rounded up to two digits
 BOUNDS = {
-    "call": {5: (1.4e-14, 5.1e-14), 8: (5.5e-13, 1.1e-12), 12: (3e-11, 8e-10), 16: (5.8e-8, 3.7e-7)},
-    "delta": {5: (3.5e-15, 5e-15), 8: (6.1e-13, 8.7e-13), 12: (4.8e-10, 9.2e-10), 16: (1.1e-8, 4e-7)},
-    "swaption": {5: (1.5e-14, 8.5e-11), 8: (9.3e-13, 1.8e-12), 12: (1.1e-10, 3.3e-10), 16: (6.3e-9, 1.3e-7)},
+    "call": {5: (7.5e-15, 1.7e-14), 8: (7.2e-15, 3.4e-14), 12: (1.3e-13, 7.6e-13), 16: (3.5e-11, 8.9e-11)},
+    "delta": {5: (2.2e-15, 3.2e-15), 8: (6.6e-15, 3.6e-14), 12: (4.2e-13, 3.1e-12), 16: (5.7e-12, 3.5e-10)},
+    "swaption": {5: (1.3e-14, 8.5e-11), 8: (5.5e-14, 1.2e-13), 12: (1.2e-13, 4.3e-13), 16: (4.3e-11, 2e-10)},
 }
 
 
@@ -178,7 +178,7 @@ def contracts():
                 count = int(rng.integers(1, 6))
                 dates = tuple(sorted(float(T) for T in rng.uniform(t + 0.25, LAST_DATE, count)))
                 p0 = [initial_bond_price(model, T) for T in dates]
-                forward = (initial_bond_price(model, t) - p0[-1]) / sum(p0)
+                forward = (initial_bond_price(model, t) - p0[-1]) / left_sum(p0)
                 strike = float(rng.uniform(0.5, 1.5)) * forward
                 out.append(("swaption", n, family, model, SwaptionSpec(t, dates, strike)))
     return out
@@ -188,9 +188,9 @@ def certified(kind, model, spec):
     q_t = model.sf.q_at(spec.option_maturity)
     if kind == "call":
         q_T = model.sf.q_at(spec.bond_maturity)
-        return pp._call_certificate(model.n, spec.strike, q_t, q_T) is not None
+        return pp._sign_certificate(pp._call_squares(model.n, spec.strike, q_t, q_T)) is not None
     q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-    return pp._swaption_certificate(model.n, spec.strike, q_t, q_pay) is not None
+    return pp._sign_certificate(pp._swaption_squares(model.n, spec.strike, q_t, q_pay)) is not None
 
 
 def errors(n):

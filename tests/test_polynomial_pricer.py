@@ -1,6 +1,7 @@
 import collections
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from chaosrates import (
     SwaptionSpec,
     call_delta,
     call_payoff_polynomial,
-    even_chaos_polynomial,
     expected_positive_part,
     initial_bond_price,
     kernel_polynomial,
@@ -28,7 +28,7 @@ from chaosrates import (
     swaption_payoff_polynomial,
 )
 from chaosrates import polynomial_pricer as pp
-from chaosrates.coherent_model import _chaos_terms, _kernel_weights, kernel_coefficient
+from chaosrates.coherent_model import _squared_terms, squares_polynomial
 from chaosrates.polynomial_pricer import (
     _ROUNDING_FLOOR,
     _newton_polish,
@@ -43,7 +43,7 @@ from closed_form_cases import (
     quadratic_positive_part,
     swaption_quadratic_coefficients,
 )
-from support import LookupBracket, per_k_chaos_sum
+from support import LookupBracket, assert_within_rounding, exact_squares
 
 
 def call_model(n, q_t, q_T):
@@ -368,49 +368,47 @@ class TestCallDelta:
         assert delta == pytest.approx((up - dn) / (2 * h), abs=1e-3)
 
 
-class TestPayoffBuildersMatchPerKSums:
-    """Each builder equals, bit for bit, its payoff added up one
-    chaos_polynomial per k, so every analytic price and delta is the one a
-    per-k accumulation summed over every moment, odd ones included, gives."""
+class TestPayoffBuildersMatchExactSquares:
+    """Each payoff is sum_m c_m Q_t^m (X^(m)(z, 1))^2.  The builders agree
+    with that sum formed in exact Fractions from the float brackets, within
+    a few roundings of the size of its terms, so no coefficient carries the
+    cancellation of a linearised sum."""
 
     @staticmethod
-    def _weights(n):
-        return [float(kernel_coefficient(n, k)) for k in range(1, n + 1)]
-
-    @staticmethod
-    def _all_moments_sum(p, intervals):
-        # sum_k c_k M_k over the intervals, odd moments of an even p included
-        total = 0.0
-        for lo, hi in intervals:
-            moments = gaussian_partial_moments(p.degree, lo, hi)
-            total += sum(c * m for c, m in zip(p.coeffs, moments))
-        return total
+    def _in_z(c, q_t):
+        # exact (coefficients, magnitudes) of the payoff in z
+        return exact_squares([cm * Fraction(q_t) ** m for m, cm in enumerate(c)], 1)
 
     @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
     @settings(max_examples=100, deadline=None)
     def test_call_payoff_and_delta(self, n, q_t, frac, strike):
         q_T = q_t + frac * (1.0 - q_t)
         model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
-        w = self._weights(n)
-        coeffs = [w[k - 1] * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) for k in range(1, n + 1)]
-        payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
-        assert call_payoff_polynomial(model, spec).coeffs == payoff.coeffs
-        # the pricer's exercise intervals: certified from the brackets, else
-        # from the roots of the payoff
-        intervals = pp._call_certificate(n, strike, q_t, q_T)
-        if intervals is None:
-            intervals = expected_positive_part(payoff).positive_intervals
-        price = max(self._all_moments_sum(payoff, intervals), 0.0)
-        assert price_bond_call(model, spec) == math.factorial(n) * price
+        g, h, K = 1 - Fraction(q_t), Fraction(q_T) - Fraction(q_t), Fraction(strike)
+        # c_m = ((1 - K) g^N - h^N) / N!, its size that of (1 - K)(g^N - h^N) and K h^N
+        c = [((1 - K) * g ** (n - m) - h ** (n - m)) / math.factorial(n - m) for m in range(n)]
+        size = [(abs(1 - K) * (g ** (n - m) - h ** (n - m)) + K * h ** (n - m)) / math.factorial(n - m) for m in range(n)]
+        want, _ = self._in_z(c, q_t)
+        _, magnitudes = self._in_z(size, q_t)
+        payoff = call_payoff_polynomial(model, spec).coeffs
+        assert_within_rounding(payoff, want, magnitudes, 8 * n)
         try:
             delta = call_delta(model, spec)
         except ValueError as e:  # a payoff root at the origin
             assert "degenerate" in str(e)
             return
-        denom = n * q_T ** (n - 1)
-        sens_coeffs = [w[k - 1] * k * q_T ** (k - 1) / denom for k in range(1, n + 1)]
-        sens = per_k_chaos_sum(n, sens_coeffs, q_t).scale_argument(math.sqrt(q_t))
-        assert delta == math.factorial(n) * self._all_moments_sum(sens, intervals)
+        # d_m = h^(N-1) / ((N-1)! n Q_T^(n-1)) over the pricer's exercise intervals
+        d = [h ** (n - m - 1) / math.factorial(n - m - 1) / (n * Fraction(q_T) ** (n - 1)) for m in range(n)]
+        sens, magnitudes = self._in_z(d, q_t)
+        intervals = pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T))
+        if intervals is None:
+            intervals = expected_positive_part(call_payoff_polynomial(model, spec)).positive_intervals
+        want = scale = 0.0
+        for lo, hi in intervals:
+            moments = gaussian_partial_moments(2 * n - 2, lo, hi)
+            want += math.fsum(float(s) * mk for s, mk in zip(sens, moments))
+            scale += math.fsum(float(s) * abs(mk) for s, mk in zip(magnitudes, moments))
+        assert abs(delta - math.factorial(n) * want) <= 16 * n * sys.float_info.epsilon * math.factorial(n) * scale
 
     @given(
         st.integers(1, 16),
@@ -427,13 +425,15 @@ class TestPayoffBuildersMatchPerKSums:
         dates = tuple(2.0 + i for i in range(len(q_pay)))
         model = CoherentModel(n, LookupBracket({1.0: q_t, **dict(zip(dates, q_pay))}))
         spec = SwaptionSpec(1.0, dates, strike)
-        w = self._weights(n)
-        coeffs = [
-            w[k - 1] * ((q_pay[-1] ** k - q_t**k) - strike * sum(1.0 - x**k for x in q_pay))
-            for k in range(1, n + 1)
-        ]
-        payoff = per_k_chaos_sum(n, coeffs, q_t).scale_argument(math.sqrt(q_t))
-        assert swaption_payoff_polynomial(model, spec).coeffs == payoff.coeffs
+        g, K = 1 - Fraction(q_t), Fraction(strike)
+        hs = [Fraction(x) - Fraction(q_t) for x in q_pay]
+        # c_m = (h_last^N - K sum_i (g^N - h_i^N)) / N!, both parts nonnegative
+        floating = [hs[-1] ** (n - m) / math.factorial(n - m) for m in range(n)]
+        fixed = [K * sum(g ** (n - m) - h ** (n - m) for h in hs) / math.factorial(n - m) for m in range(n)]
+        want, _ = self._in_z([a - b for a, b in zip(floating, fixed)], q_t)
+        _, magnitudes = self._in_z([a + b for a, b in zip(floating, fixed)], q_t)
+        payoff = swaption_payoff_polynomial(model, spec).coeffs
+        assert_within_rounding(payoff, want, magnitudes, 8 * n + 8)
 
 
 def swaption_model(q_t, q_pay):
@@ -519,6 +519,15 @@ class TestSwaption:
             assert analytic == pytest.approx(oracle, abs=1e-9)
             assert analytic >= 0.0
 
+    def test_payoff_near_a_double_root_has_no_root(self):
+        # every c_m = h^N / N! > 0 with h = 2.5e-10: a positive sum of
+        # squares whose linearised coefficients cancelled to rounding and
+        # gave roots near +-1; built from the squares it has none
+        model = CoherentModel(3, LookupBracket({1.0: 0.5, 2.0: 0.5 + 2.5e-10}))
+        res = expected_positive_part(swaption_payoff_polynomial(model, SwaptionSpec(1.0, (2.0,), 0.0)))
+        assert res.roots == ()
+        assert res.positive_intervals == ((-math.inf, math.inf),)
+
 
 FAMILIES = [
     ExponentialDensity(0.23),
@@ -546,8 +555,7 @@ class TestEvenPayoffs:
                 assert not any(payoff.coeffs[1::2])
                 # the call_delta sensitivity: any weights through the same primitive
                 weights = rng.uniform(-2.0, 2.0, n).tolist()
-                sens = even_chaos_polynomial(n, weights, q_t).scale_argument(math.sqrt(q_t))
-                assert not any(sens.coeffs[1::2])
+                assert not any(squares_polynomial(weights, q_t).coeffs[1::2])
 
     @staticmethod
     def _even(P):
@@ -696,7 +704,7 @@ class TestSignCertificate:
     )
     def test_worthless_call(self, isolated, n, q_t, q_T, strike):
         model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
-        assert pp._call_certificate(n, strike, q_t, q_T) == ()
+        assert pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) == ()
         assert price_bond_call(model, spec) == 0.0
         assert call_delta(model, spec) == 0.0
         assert isolated == []
@@ -729,7 +737,7 @@ class TestSignCertificate:
         # near the money the coefficients change sign; at n = 16 the payoff
         # needs the companion matrix
         model, spec = CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9)
-        assert pp._call_certificate(16, 0.9, FAMILIES[0].q_at(2.0), FAMILIES[0].q_at(6.5)) is None
+        assert pp._sign_certificate(pp._call_squares(16, 0.9, FAMILIES[0].q_at(2.0), FAMILIES[0].q_at(6.5))) is None
         price_bond_call(model, spec)
         assert isolated == ["_exercise_region", "_companion_eigenvalues"]
         isolated.clear()
@@ -746,7 +754,8 @@ class TestSignCertificate:
         n, q_t, q_T, strike = 2, 0.5, 0.75, 0.75
         g, h = 1.0 - q_t, q_T - q_t
         assert (1.0 - strike) * g**n == h**n
-        assert pp._call_certificate(n, strike, q_t, q_T) is None
+        assert pp._call_squares(n, strike, q_t, q_T)[0] == 0.0
+        assert pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) is None
         with pytest.raises(ValueError, match="degenerate"):
             call_delta(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
 
@@ -760,9 +769,9 @@ class TestSignCertificate:
             # with the cap lifted, every contract here is certified
             raised.setattr(pp, "MAX_DEGREE", 2 * n - 2)
             for strike, want in calls:
-                assert pp._call_certificate(n, strike, 0.3, 0.5) == want
+                assert pp._sign_certificate(pp._call_squares(n, strike, 0.3, 0.5)) == want
             for strike, want in swaptions:
-                assert pp._swaption_certificate(n, strike, 0.2, q_pay) == want
+                assert pp._sign_certificate(pp._swaption_squares(n, strike, 0.2, q_pay)) == want
         model = call_model(n, 0.3, 0.5)
         for strike, _ in calls:
             for price in (price_bond_call, call_delta):
@@ -775,15 +784,14 @@ class TestSignCertificate:
 
     @staticmethod
     def _construction_scale(n, magnitudes, q_t):
-        """n! E[sum_k w_k m_k sum_terms |a| q_t^j |sqrt(q_t) Z|^i] over the
-        terms a R^i Q^j of each X^(2n-2k): the size of the payoff before
-        its coefficients cancel, m_k the magnitude of its k-th bracket sum,
-        and so the scale of the payoff's rounding error."""
-        w = _kernel_weights(n)
+        """n! E[sum_m |c_m| q_t^m sum_terms |b| |Z|^i] over the terms b z^i
+        of each (X^(m)(z, 1))^2, |c_m| bounded by magnitudes[m]: the size of
+        the payoff before its coefficients cancel, and so the scale of the
+        payoff's rounding error."""
         total = 0.0
-        for k, m in enumerate(magnitudes, 1):
-            for a, i, j in _chaos_terms(2 * n - 2 * k):  # i even: E|Z|^i = (i - 1)!!
-                total += w[k - 1] * m * abs(a) * q_t ** (j + i / 2) * math.prod(range(i - 1, 0, -2))
+        for m, size in enumerate(magnitudes):
+            for b, i, _ in _squared_terms(m):  # i even: E|Z|^i = (i - 1)!!
+                total += size * q_t**m * abs(b) * math.prod(range(i - 1, 0, -2))
         return math.factorial(n) * total
 
     @staticmethod
@@ -807,8 +815,9 @@ class TestSignCertificate:
     def test_call_price_is_the_positive_part_of_its_payoff(self, n, q_t, frac, strike):
         q_T = q_t + frac * (1.0 - q_t)
         model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
-        certified = pp._call_certificate(n, strike, q_t, q_T)
-        magnitudes = [(1.0 - q_T**k) + strike * (1.0 - q_t**k) for k in range(1, n + 1)]
+        certified = pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T))
+        g, h = 1.0 - q_t, q_T - q_t
+        magnitudes = [(abs(1.0 - strike) * g**N + strike * h**N) / math.factorial(N) for N in range(n, 0, -1)]
         scale = self._construction_scale(n, magnitudes, q_t)
         payoff = call_payoff_polynomial(model, spec)
         self._agrees_with_root_isolation(price_bond_call(model, spec), n, payoff, certified, scale)
@@ -819,13 +828,14 @@ class TestSignCertificate:
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
         st.floats(0.0, 1.5),
     )
-    @example(3, 0.5, [1e-9], 0.0)  # roots cut from rounding noise
+    @example(3, 0.5, [1e-9], 0.0)  # a payoff near a double root
     @settings(max_examples=150, deadline=None)
     def test_swaption_price_is_the_positive_part_of_its_payoff(self, n, q_t, steps, strike_share):
         model, spec = swaption_case(n, q_t, [0.5 * step for step in steps], strike_share)
         q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-        certified = pp._swaption_certificate(n, spec.strike, q_t, q_pay)
-        magnitudes = [q_pay[-1] ** k + q_t**k + spec.strike * sum(1.0 - x**k for x in q_pay) for k in range(1, n + 1)]
+        certified = pp._sign_certificate(pp._swaption_squares(n, spec.strike, q_t, q_pay))
+        g = 1.0 - q_t
+        magnitudes = [((q_pay[-1] - q_t) ** N + spec.strike * len(q_pay) * g**N) / math.factorial(N) for N in range(n, 0, -1)]
         scale = self._construction_scale(n, magnitudes, q_t)
         payoff = swaption_payoff_polynomial(model, spec)
         self._agrees_with_root_isolation(price_swaption(model, spec), n, payoff, certified, scale)
@@ -845,11 +855,22 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
+# the n = 16 call payoff at Q_t = 0.895099408233954, Q_T = 0.9997013358474597,
+# K = 0.007638828534798706 as the linearised weights built it: its monomial
+# coefficients cancel to rounding near the roots +-5.04, the coefficients of
+# P(y), p(z) = P(z^2)
+ILL_CONDITIONED_PAYOFF = (
+    -2.7432166957542942e-18, -1.5090185466699283e-16, 7.20364415586688e-16, -1.31459901817092e-15,
+    1.185364665774726e-15, -6.102041398528949e-16, 1.9485098243134302e-16, -4.064615637348558e-17,
+    5.719913761950827e-18, -5.5285411132496295e-19, 3.6913545007615724e-20, -1.6908331452410771e-21,
+    5.19054050417611e-23, -1.0159082163478063e-24, 1.1410423998614438e-26, -5.576202316691235e-29,
+)
+
+
 def test_newton_stops_at_the_rounding_floor(monkeypatch):
-    # an n = 16 call whose roots near +-5.04 are so ill-conditioned that
-    # Newton steps from a point at the rounding floor only wander in noise
-    model = call_model(16, 0.895099408233954, 0.9997013358474597)
-    p = call_payoff_polynomial(model, OptionSpec(1.0, 2.0, 0.007638828534798706))
+    # roots so ill-conditioned that Newton steps from a point at the
+    # rounding floor only wander in noise
+    p = TestEvenPayoffs._even(ILL_CONDITIONED_PAYOFF)
     size = RealPolynomial([abs(c) for c in p.coeffs])
     x = 5.042924790072165
     assert 0.0 < abs(p(x)) <= _ROUNDING_FLOOR * size(abs(x))

@@ -110,12 +110,6 @@ class TestRealPolynomial:
         p = RealPolynomial((5.0, 1.0, -2.0, 4.0))
         assert p.derivative().coeffs == (1.0, -4.0, 12.0)
 
-    def test_scale_argument(self):
-        p = RealPolynomial((1.0, 2.0, 3.0))
-        q = p.scale_argument(0.5)
-        for x in (-2.0, 0.0, 1.3):
-            assert q(x) == pytest.approx(p(0.5 * x), rel=1e-15)
-
     def test_zero_polynomial_flag(self):
         assert RealPolynomial((0.0,)).is_zero
         assert not RealPolynomial((0.0, 1e-300)).is_zero
