@@ -3,8 +3,8 @@
 Every payoff considered here reduces to n! * E[(p(Z))+] with Z standard
 normal and p a polynomial of degree 2n - 2.  The expectation is evaluated
 exactly: isolate the real roots of p, certify the sign of p between
-consecutive roots, then sum truncated Gaussian moments over the intervals
-where p is positive.
+consecutive roots, then integrate p against the normal density over the
+intervals where p is positive.
 
 The kernel is a sum of even chaoses, so every coherent payoff is even in z:
 p(z) = P(z^2) with P of degree n - 1.  Root isolation uses this whenever
@@ -16,9 +16,7 @@ root bound.  Only P with two or more sign changes needs the companion
 matrix, of degree n - 1, not 2n - 2.  Every Newton step is one pass over
 the coefficients that returns p, p' and the rounding size together, and
 the sign of an even p between its roots is read from P(z^2), in half the
-steps.  The moment sum of an even p reads only its even moments, adding
-each term as its moment is formed, and call_delta reuses the payoff's
-exercise intervals without summing the payoff's own moments.
+steps.
 
 Every payoff and delta is a sum of squares sum_{m<n} c_m (X^(m))^2 at
 expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
@@ -30,7 +28,12 @@ expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
 each c_m the difference of two product_weights terms of one sign, and the
 payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign certificate
 reads the c_m first: all negative, the payoff is negative everywhere; all
-positive, it is at least c_0 > 0 everywhere.  Only the rest need roots.
+positive, it is at least c_0 > 0 everywhere.  Only the rest build that
+polynomial, and only for its roots.  The price and the delta are summed in
+the squared form itself, n! sum_m c_m Q_t^m K_m over the exercise
+intervals, K_m the normal integral of (He_m / m!)^2 by its own recurrence
+(_squares_moment_sum): every K_m is nonnegative, so no monomial moment
+cancels, and on the whole line K_m = 1 / m!.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent_model import MAX_ORDER, CoherentModel, product_weights, squares_polynomial
-from .special_functions import RealPolynomial, _even_moment_sum, gaussian_partial_moments, left_sum
+from .special_functions import RealPolynomial, gaussian_partial_moments, left_sum, normal_cdf, normal_pdf
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
@@ -353,33 +356,45 @@ def _even_value(lead: float, rest: tuple, z: float) -> float:
     return acc
 
 
-def _moment_sum(c: tuple, intervals) -> float:
-    """sum_k c_k M_k(lo, hi) summed over the intervals.
-
-    With every odd c_k exactly zero (an even payoff) only the even moments
-    are formed, each added as it is formed: the odd terms are +-0.0 and
-    leave the sum unchanged.
-    """
-    value = 0.0
-    if any(c[1::2]):
-        for lo, hi in intervals:
-            value += left_sum(ck * m for ck, m in zip(c, gaussian_partial_moments(len(c) - 1, lo, hi)))
-    else:
-        c = c[::2]
-        for lo, hi in intervals:
-            value += _even_moment_sum(c, lo, hi)
-    return value
-
-
 def expected_positive_part(p: RealPolynomial) -> PositivePartResult:
     """E[(p(Z))+] for standard normal Z, by root isolation plus moments."""
     roots, intervals = _exercise_region(p)
-    return PositivePartResult(
-        value=max(_moment_sum(p.coeffs, intervals), 0.0),
-        payoff_polynomial=p,
-        positive_intervals=intervals,
-        roots=roots,
-    )
+    c = p.coeffs
+    value = 0.0
+    for lo, hi in intervals:
+        value += left_sum(ck * m for ck, m in zip(c, gaussian_partial_moments(len(c) - 1, lo, hi)))
+    return PositivePartResult(value=max(value, 0.0), payoff_polynomial=p, positive_intervals=intervals, roots=roots)
+
+
+def _squares_moment_sum(a, intervals) -> float:
+    """sum_m a[m] K_m summed over the intervals, K_m = int_lo^hi (X^(m)(z, 1))^2 rho(z) dz.
+
+    X^(m)(z, 1) = He_m(z) / m!, so K_0 = Phi(hi) - Phi(lo) and
+
+        K_m = (K_(m-1) - [X^(m) X^(m-1) rho]_lo^hi) / m,
+
+    with X^(m) at each endpoint walked by (m + 1) X^(m+1) = z X^(m) - X^(m-1).
+    A boundary term is zero where rho is, at an infinite endpoint too, so on
+    the whole line K_m = 1 / m!.  Every K_m is nonnegative: a sum of squares
+    cancels only where its a[m] change sign.
+    """
+    total = 0.0
+    for lo, hi in intervals:
+        r_lo, r_hi = normal_pdf(lo), normal_pdf(hi)
+        # where rho is zero the walk runs at z = 0: finite, its terms times rho = 0
+        z_lo, z_hi = (lo if r_lo else 0.0), (hi if r_hi else 0.0)
+        x_lo, x_hi = z_lo, z_hi  # X^(1)
+        prev_lo = prev_hi = 1.0  # X^(0)
+        # Phi(hi) - Phi(lo) as the difference of the smaller tails: in the
+        # right tail 1 - Phi would cancel to its rounding error
+        k = normal_cdf(-lo) - normal_cdf(-hi) if lo > 0 else normal_cdf(hi) - normal_cdf(lo)
+        total += a[0] * k
+        for m in range(1, len(a)):
+            k = (k - (r_hi * x_hi * prev_hi - r_lo * x_lo * prev_lo)) / m
+            total += a[m] * k
+            prev_lo, x_lo = x_lo, (z_lo * x_lo - prev_lo) / (m + 1)
+            prev_hi, x_hi = x_hi, (z_hi * x_hi - prev_hi) / (m + 1)
+    return total
 
 
 def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolynomial:
@@ -403,9 +418,14 @@ def _call_squares(n: int, strike: float, q_t: float, q_T: float) -> list:
     return [(1.0 - strike) * a - strike * b for a, b in zip(bond[::-1], drift[::-1])]
 
 
+def _scaled(c: list, q_t: float) -> list:
+    # [c_m q_t^m]: (X^(m)(sqrt(q_t) z, q_t))^2 = q_t^m (X^(m)(z, 1))^2
+    return [cm * q_t**m for m, cm in enumerate(c)]
+
+
 def _in_z(c: list, q_t: float) -> RealPolynomial:
     # sum_m c_m (X^(m)(sqrt(q_t) z, q_t))^2 as a polynomial in z
-    return squares_polynomial([cm * q_t**m for m, cm in enumerate(c)], 1.0)
+    return squares_polynomial(_scaled(c, q_t), 1.0)
 
 
 def _sign_certificate(c: list):
@@ -426,12 +446,11 @@ def _sign_certificate(c: list):
 def _price(n: int, c: list, q_t: float) -> float:
     """n! E[(p(Z))+] of the payoff with squared-form coefficients c."""
     intervals = _sign_certificate(c)
-    if intervals == ():
-        return 0.0
-    p = _in_z(c, q_t)
     if intervals is None:
-        return math.factorial(n) * expected_positive_part(p).value
-    return math.factorial(n) * max(_moment_sum(p.coeffs, intervals), 0.0)
+        intervals = _exercise_region(_in_z(c, q_t))[1]
+    if not intervals:
+        return 0.0
+    return math.factorial(n) * max(_squares_moment_sum(_scaled(c, q_t), intervals), 0.0)
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
@@ -448,10 +467,9 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
     """Hedge position in the T-bond: the price sensitivity to P(0, T).
 
     Differentiates the moment representation directly; boundary terms vanish
-    because the payoff polynomial is zero at every interval endpoint, so only
-    the coefficient sensitivities d_m survive.  The payoff supplies its roots
-    and exercise intervals only; its own moment sum, the price, is never
-    formed, and a payoff whose sign its coefficients certify is not built.
+    because the payoff is zero at every interval endpoint, so only the
+    coefficient sensitivities d_m survive, summed over the payoff's exercise
+    intervals in the same squared form as the price.
     """
     n = model.n
     q_t = model.sf.q_at(spec.option_maturity)
@@ -463,18 +481,17 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         return 1.0 if intrinsic > 0 else 0.0
     c = _call_squares(n, spec.strike, q_t, q_T)
     intervals = _sign_certificate(c)
-    if intervals == ():
-        return 0.0
     if intervals is None:
         roots, intervals = _exercise_region(_in_z(c, q_t))
         for r in roots:
             if abs(r) <= 1e-9:
                 raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
+    if not intervals:
+        return 0.0
     denom = n * q_T ** (n - 1)
     h = q_T - q_t
     d = [1.0] + product_weights(n - 1, h, h)  # h^(N-1) / (N-1)!, N = 1..n
-    sens = _in_z([d[N - 1] / denom for N in range(n, 0, -1)], q_t)
-    return math.factorial(n) * _moment_sum(sens.coeffs, intervals)
+    return math.factorial(n) * _squares_moment_sum(_scaled([d[N - 1] / denom for N in range(n, 0, -1)], q_t), intervals)
 
 
 def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> RealPolynomial:

@@ -180,23 +180,3 @@ def gaussian_partial_moments(k_max: int, a: float, b: float) -> list[float]:
         out.append((k - 1) * out[k - 2] + lo - hi)
     return out
 
-
-def _even_moment_sum(c: Sequence, a: float, b: float) -> float:
-    """sum_j c[j] M_2j(a, b), each term added as its moment is formed.
-
-    M_2j reads only M_2j-2, so the odd moments are never formed, and no
-    list is kept.  Bit for bit the left-to-right sum of c[j] times the even
-    entries of gaussian_partial_moments(2 len(c) - 2, a, b), starting from 0.
-    """
-    if math.isnan(a) or math.isnan(b) or a > b:
-        raise ValueError(f"invalid integration interval [{a}, {b}]")
-    pa, pb = normal_pdf(a), normal_pdf(b)
-    m = normal_cdf(b) - normal_cdf(a)
-    total = 0.0 + c[0] * m  # from 0.0, as sum() starts: a -0.0 term becomes 0.0
-    # e = 2j - 1: M_2j = e M_2j-2 + a^e rho(a) - b^e rho(b)
-    for e, cj in zip(range(1, 2 * len(c), 2), c[1:]):
-        lo = a**e * pa if pa != 0.0 else 0.0
-        hi = b**e * pb if pb != 0.0 else 0.0
-        m = e * m + lo - hi
-        total += cj * m
-    return total

@@ -178,7 +178,8 @@ class DiscreteAtoms(StructureFunction):
 
     def q_at(self, t):
         _check_time(t)
-        return left_sum(w for T, w in zip(self.times, self.weights) if T <= t)
+        # the rescaled weights can sum past 1 by rounding
+        return min(left_sum(w for T, w in zip(self.times, self.weights) if T <= t), 1.0)
 
     def squared_density(self, t):
         # distributional density; between atoms (and, by convention, at them)

@@ -53,6 +53,16 @@ def csv_rows(out):
 
 
 class TestCurve:
+    def test_atoms_whose_rescaled_weights_sum_past_one_end_at_zero(self, capsys):
+        # the six weights rescaled by their float sum add up to 1 + 2^-52
+        weights = [0.083, 0.193, 0.221, 0.288, 0.135, 0.08]
+        model = json.dumps({"n": 2, "sf": {"family": "atoms", "times": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "weights": weights}})
+        code, out, _ = run(capsys, "curve", "--model", model)
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows[-1] == (6.0, 0.0)
+        assert all(0.0 <= price <= 1.0 for _, price in rows)
+
     def test_atoms_default_grid_is_the_step_curve(self, capsys):
         code, out, _ = run(capsys, "curve", "--model", STEP_MODEL)
         assert code == 0

@@ -18,10 +18,12 @@ p > 0 are summed in mpmath.  The price is n! times that sum.
 
 The bounds hold, per order, the p90 and the maximum of the relative error
 |got - want| / |want| (the absolute error where the reference is zero).
-The pricer builds each payoff from its sum-of-squares weights, so what the
-bounds record is the rounding of the monomial moment sum over the exercise
-intervals; pricing the squared form itself (ROADMAP D4) is expected to
-tighten them further.
+The pricer builds each payoff from its sum-of-squares weights and sums the
+squared form itself, taking each interval's normal mass from its smaller
+tails, so prices sit within a few ulps of the reference.  The larger delta
+maxima record where the float roots lie: a price is stationary in its
+exercise boundary, a delta is not, so its worst values follow the error of
+the roots (ROADMAP D4).
 """
 
 import math
@@ -63,11 +65,11 @@ mp = mpmath.mp.clone()
 mp.dps = 60
 
 # per order: (p90, max) of the relative error, twice the measured value
-# rounded up to two digits
+# rounded up to two digits, or the earlier bound where that is smaller
 BOUNDS = {
-    "call": {5: (7.5e-15, 1.7e-14), 8: (7.2e-15, 3.4e-14), 12: (1.3e-13, 7.6e-13), 16: (3.5e-11, 8.9e-11)},
-    "delta": {5: (2.2e-15, 3.2e-15), 8: (6.6e-15, 3.6e-14), 12: (4.2e-13, 3.1e-12), 16: (5.7e-12, 3.5e-10)},
-    "swaption": {5: (1.3e-14, 8.5e-11), 8: (5.5e-14, 1.2e-13), 12: (1.2e-13, 4.3e-13), 16: (4.3e-11, 2e-10)},
+    "call": {5: (2.4e-15, 1.1e-14), 8: (1.6e-15, 2.6e-15), 12: (1.8e-15, 3.1e-15), 16: (2.1e-15, 7.3e-15)},
+    "delta": {5: (2.2e-15, 3.2e-15), 8: (2.4e-15, 1.1e-14), 12: (1.9e-15, 2.9e-12), 16: (1.2e-13, 3.5e-10)},
+    "swaption": {5: (2.8e-15, 3.4e-15), 8: (1.3e-14, 1.6e-14), 12: (1.8e-14, 4.7e-14), 16: (1.2e-14, 4.8e-14)},
 }
 
 

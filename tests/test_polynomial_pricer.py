@@ -3,6 +3,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,7 +36,7 @@ from chaosrates.polynomial_pricer import (
     _real_roots,
     _root_finding_part,
 )
-from chaosrates.special_functions import gaussian_partial_moments
+from chaosrates.special_functions import gaussian_partial_moments, hermite
 from closed_form_cases import (
     biquadratic_positive_part,
     call_biquadratic_coefficients,
@@ -718,9 +719,9 @@ class TestSignCertificate:
         assert isolated == []
         res = expected_positive_part(call_payoff_polynomial(model, spec))
         assert res.roots == () and res.positive_intervals == ((-math.inf, math.inf),)
-        assert price == math.factorial(n) * res.value
-        assert price == pytest.approx((1 - q_T**n) - strike * (1 - q_t**n), rel=1e-12)
-        assert delta == pytest.approx(1.0, rel=1e-12)
+        # always exercised, the call is the forward P(0, T) - K P(0, t)
+        assert price == pytest.approx((1 - q_T**n) - strike * (1 - q_t**n), rel=4 * sys.float_info.epsilon)
+        assert delta == pytest.approx(1.0, rel=4 * sys.float_info.epsilon)
 
     @pytest.mark.parametrize("strike_share, want", [(10.0, ()), (0.1, ((-math.inf, math.inf),))])
     def test_settled_swaptions(self, isolated, strike_share, want):
@@ -729,9 +730,13 @@ class TestSignCertificate:
         assert isolated == []
         res = expected_positive_part(swaption_payoff_polynomial(model, spec))
         assert res.positive_intervals == want
-        assert price == math.factorial(5) * res.value
-        if not want:
-            assert price == 0.0
+        if want:
+            # always exercised, the swaption is the forward swap
+            q_t, q_pay = 0.2, [model.sf.q_at(T) for T in spec.payment_dates]
+            forward = (q_pay[-1] ** 5 - q_t**5) - spec.strike * sum(1 - q**5 for q in q_pay)
+            assert price == pytest.approx(forward, rel=4 * sys.float_info.epsilon)
+        else:
+            assert price == res.value == 0.0
 
     def test_open_contracts_still_isolate_roots(self, isolated):
         # near the money the coefficients change sign; at n = 16 the payoff
@@ -795,19 +800,16 @@ class TestSignCertificate:
         return math.factorial(n) * total
 
     @staticmethod
-    def _agrees_with_root_isolation(price, n, payoff, certified, scale):
-        """The price is the positive part of the payoff, bit for bit, unless
-        the certificate settled intervals (certified) that root isolation on
-        the payoff's float coefficients does not find.  Those coefficients
-        have then cancelled to their rounding error: root isolation cuts
-        roots the exact payoff does not have, and the two differ within
-        that error."""
+    def _agrees_with_root_isolation(price, n, payoff, scale):
+        """The price is the positive part of the payoff within the payoff's
+        rounding error: the price sums the squared form, the positive part
+        the payoff's monomial moments.  Where the sign certificate settles
+        intervals that root isolation on the payoff's float coefficients
+        does not find, those coefficients have cancelled to their rounding
+        error and root isolation cuts roots the exact payoff does not have;
+        the two still differ only within that error."""
         res = expected_positive_part(payoff)
-        want = math.factorial(n) * res.value
-        if certified is None or res.positive_intervals == certified:
-            assert price == want
-        else:
-            assert abs(price - want) <= 4.0 * sys.float_info.epsilon * scale
+        assert abs(price - math.factorial(n) * res.value) <= 4.0 * sys.float_info.epsilon * scale
 
     @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
     @example(2, 0.01, 2.220446049250313e-16, 1.0)  # roots cut from rounding noise
@@ -815,12 +817,11 @@ class TestSignCertificate:
     def test_call_price_is_the_positive_part_of_its_payoff(self, n, q_t, frac, strike):
         q_T = q_t + frac * (1.0 - q_t)
         model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
-        certified = pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T))
         g, h = 1.0 - q_t, q_T - q_t
         magnitudes = [(abs(1.0 - strike) * g**N + strike * h**N) / math.factorial(N) for N in range(n, 0, -1)]
         scale = self._construction_scale(n, magnitudes, q_t)
         payoff = call_payoff_polynomial(model, spec)
-        self._agrees_with_root_isolation(price_bond_call(model, spec), n, payoff, certified, scale)
+        self._agrees_with_root_isolation(price_bond_call(model, spec), n, payoff, scale)
 
     @given(
         st.integers(1, 16),
@@ -833,12 +834,98 @@ class TestSignCertificate:
     def test_swaption_price_is_the_positive_part_of_its_payoff(self, n, q_t, steps, strike_share):
         model, spec = swaption_case(n, q_t, [0.5 * step for step in steps], strike_share)
         q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-        certified = pp._sign_certificate(pp._swaption_squares(n, spec.strike, q_t, q_pay))
         g = 1.0 - q_t
         magnitudes = [((q_pay[-1] - q_t) ** N + spec.strike * len(q_pay) * g**N) / math.factorial(N) for N in range(n, 0, -1)]
         scale = self._construction_scale(n, magnitudes, q_t)
         payoff = swaption_payoff_polynomial(model, spec)
-        self._agrees_with_root_isolation(price_swaption(model, spec), n, payoff, certified, scale)
+        self._agrees_with_root_isolation(price_swaption(model, spec), n, payoff, scale)
+
+
+class TestSquaresMomentSum:
+    """_squares_moment_sum against the expanded squares in 50 digits:
+    He_m^2 from the integer Hermite coefficients, times the truncated
+    moments M_k by their own recurrence in mpmath."""
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    @classmethod
+    def reference(cls, a, lo, hi):
+        mp = cls.mp
+        a_, b_ = (mp.mpf(lo) if math.isfinite(lo) else lo), (mp.mpf(hi) if math.isfinite(hi) else hi)
+        ra, rb = (mp.npdf(a_) if math.isfinite(lo) else 0), (mp.npdf(b_) if math.isfinite(hi) else 0)
+        moments = [mp.ncdf(b_) - mp.ncdf(a_), ra - rb]
+        for k in range(2, 2 * len(a) - 1):
+            moments.append((k - 1) * moments[k - 2] + (a_ ** (k - 1) * ra if ra else 0) - (b_ ** (k - 1) * rb if rb else 0))
+        total = mp.mpf(0)
+        for m, am in enumerate(a):
+            h = hermite(m).coeffs
+            square = sum(x * y * moments[i + j] for i, x in enumerate(h) for j, y in enumerate(h))
+            total += mp.mpf(am) * square / math.factorial(m) ** 2
+        return total
+
+    @classmethod
+    def rounding_scale(cls, a, lo, hi):
+        """sum_m |a_m| S_m, S_m the recurrence run on magnitudes: the normal
+        tail it differences plus the argument's condition |z| rho(z), then
+        S_m = (S_(m-1) + |X^(m) X^(m-1) rho| at both ends) / m."""
+        mp = cls.mp
+        ends = []
+        for z in (lo, hi):
+            if math.isfinite(z):
+                xs = [mp.mpf(1), mp.mpf(z)]
+                for m in range(1, len(a)):
+                    xs.append((z * xs[m] - xs[m - 1]) / (m + 1))
+                ends.append((xs, mp.npdf(z)))
+        size = mp.ncdf(-lo) if lo > 0 else mp.ncdf(hi)
+        size += sum(abs(xs[1]) * r for xs, r in ends)
+        total = abs(a[0]) * size
+        for m in range(1, len(a)):
+            size = (size + sum(abs(xs[m] * xs[m - 1]) * r for xs, r in ends)) / m
+            total += abs(a[m]) * size
+        return total
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+        st.floats(-9.0, 9.0) | st.just(-math.inf),
+        st.floats(-9.0, 9.0) | st.just(math.inf),
+    )
+    @example([1.0, -2.0, 0.5], -math.inf, math.inf)
+    @example([0.3] * 12, 5.910373646080854, math.inf)  # a right tail: 1 - Phi would cancel
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_expanded_squares(self, a, x, y):
+        lo, hi = min(x, y), max(x, y)
+        got = pp._squares_moment_sum(a, [(lo, hi)])
+        err = abs(self.mp.mpf(got) - self.reference(a, lo, hi))
+        # plus the underflow of a subnormal term, an absolute ulp(0.0) each
+        assert err <= 64 * sys.float_info.epsilon * self.rounding_scale(a, lo, hi) + 2 * len(a) * math.ulp(0.0)
+
+    def test_sums_over_every_interval(self):
+        a, intervals = [0.5, -1.0, 2.0, 0.25], [(-math.inf, -2.0), (-0.5, 0.75), (3.0, math.inf)]
+        want = sum(self.reference(a, lo, hi) for lo, hi in intervals)
+        assert float(want) == pytest.approx(pp._squares_moment_sum(a, intervals), rel=8 * sys.float_info.epsilon)
+        assert pp._squares_moment_sum(a, ()) == 0.0
+
+    def test_whole_line_moments_are_inverse_factorials(self):
+        # K_m = E[(He_m(Z) / m!)^2] = 1 / m!
+        for m in range(20):
+            a = [0.0] * m + [1.0]
+            got = pp._squares_moment_sum(a, [(-math.inf, math.inf)])
+            assert abs(got * math.factorial(m) - 1.0) <= (m + 1) * sys.float_info.epsilon
+
+    @given(st.integers(1, 16), st.floats(0.001, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_line_call_is_the_forward(self, n, q_t, frac, strike):
+        # always exercised, n! sum_m c_m q_t^m / m! telescopes to
+        # P(0, T) - K P(0, t); against that forward in exact arithmetic on
+        # the float inputs, within a few ulps of its two parts
+        q_T = q_t + frac * (1.0 - q_t)
+        assume(pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) == ((-math.inf, math.inf),))
+        price = price_bond_call(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
+        qt, qT, k = Fraction(q_t), Fraction(q_T), Fraction(strike)
+        forward = (1 - qT**n) - k * (1 - qt**n)
+        scale = abs(1 - k) * (1 - qT**n) + k * (qT**n - qt**n)
+        assert abs(Fraction(price) - forward) <= (n + 4) * Fraction(sys.float_info.epsilon) * scale
 
 
 def count_calls(monkeypatch, *names):

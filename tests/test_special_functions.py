@@ -15,7 +15,6 @@ from chaosrates import (
     normal_cdf,
     normal_pdf,
 )
-from chaosrates.special_functions import _even_moment_sum
 
 # first few probabilists' polynomials, coefficients in increasing degree
 KNOWN_HERMITE = {
@@ -149,26 +148,6 @@ def test_partial_moments_against_quadrature(lo, hi):
             min(hi, 40.0),
         )
         assert got == pytest.approx(want, abs=max(1e-11, 10 * err))
-
-
-@given(
-    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
-    st.floats(-12, 12) | st.just(-math.inf),
-    st.floats(-12, 12) | st.just(math.inf),
-)
-@settings(max_examples=200)
-def test_even_moment_sum_is_the_weighted_even_entries_bit_for_bit(c, a, b):
-    lo, hi = min(a, b), max(a, b)
-    want = 0.0  # left to right, as sum() adds floats before Python 3.12
-    for cj, m in zip(c, gaussian_partial_moments(2 * len(c) - 2, lo, hi)[::2]):
-        want += cj * m
-    assert _even_moment_sum(c, lo, hi) == want
-
-
-@pytest.mark.parametrize("a, b", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)])
-def test_even_moment_sum_rejects_a_bad_interval(a, b):
-    with pytest.raises(ValueError, match="invalid integration interval"):
-        _even_moment_sum((1.0, 2.0), a, b)
 
 
 def test_full_line_moments_are_gaussian_moments():

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from chaosrates import (
+    CoherentModel,
     DiscreteAtoms,
     ExponentialDensity,
     GaussianState,
     PiecewiseConstantDensity,
     StructureFunction,
+    initial_bond_price,
     residual_inner_product,
     state_at,
 )
@@ -81,6 +83,17 @@ class TestDiscreteAtoms:
         sf = DiscreteAtoms((1.0, 4.0, 9.0), (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
         assert sf.q_at(4.0) == Fraction(2, 3)
         assert isinstance(sf.q_at(4.0), Fraction)
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12), st.integers(1, 20))
+    @example([0.6229016948897019, 0.7417869892607294, 0.7951935655656966, 0.9424502837770503, 0.7398985747399307], 2)
+    @settings(max_examples=200)
+    def test_rescaled_weights_never_carry_q_past_one(self, weights, n):
+        # the rescaled weights can sum to 1 + ulp; Q and so P(0, T) stay in range
+        times = tuple(float(i) for i in range(1, len(weights) + 1))
+        model = CoherentModel(n, DiscreteAtoms(times, tuple(weights)))
+        for t in times + (times[-1] + 1.0,):
+            assert 0.0 <= model.sf.q_at(t) <= 1.0
+            assert initial_bond_price(model, t) >= 0.0
 
     def test_not_a_density(self):
         sf = DiscreteAtoms((1.0,), (1.0,))
