@@ -14,9 +14,9 @@ import json
 import math
 import sys
 
-from . import coherent_model, incoherent_model, structure_functions
+from . import coherent_model, incoherent_model
 from .coherent_model import CoherentModel, initial_bond_price
-from .finite_dim import AtomGrid, calibrate_weights, read_market_curve, simulate_paths, write_paths_csv
+from .finite_dim import calibrate_weights, check_atoms_model, read_market_curve, simulate_paths, write_paths_csv
 from .incoherent_model import IncoherentModel, incoherent_bond_price, multi_state_at
 from .polynomial_pricer import (
     OptionSpec,
@@ -163,14 +163,8 @@ def cmd_price(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = _load_model(args.model)
-    if not isinstance(model, CoherentModel) or not isinstance(model.sf, DiscreteAtoms):
-        raise ValueError("simulate requires a coherent model with an atom-family structure function")
-    times = model.sf.times
-    if len(times) < 2:
-        raise ValueError("simulate needs at least one maturity before the horizon atom")
-    grid = AtomGrid(maturities=times[:-1], horizon=times[-1], weights=model.sf.weights)
-    maturity = args.maturity if args.maturity is not None else grid.maturities[-1]
-    paths = simulate_paths(grid, model.n, maturity, count=args.paths, seed=args.seed)
+    maturity = args.maturity if args.maturity is not None else check_atoms_model(model)
+    paths = simulate_paths(model, maturity, count=args.paths, seed=args.seed)
     files = write_paths_csv(paths, args.out)
     print(
         json.dumps(
@@ -188,9 +182,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     market = read_market_curve(args.market)
-    grid = calibrate_weights(market, args.order, horizon=args.horizon)
-    sf = structure_functions.to_descriptor(grid.structure_function())
-    print(json.dumps({"schema": SCHEMA, "n": args.order, "sf": sf}, allow_nan=False))
+    model = calibrate_weights(market, args.order, horizon=args.horizon)
+    print(json.dumps({"schema": SCHEMA, **coherent_model.to_descriptor(model)}, allow_nan=False))
     return 0
 
 

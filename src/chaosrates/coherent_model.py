@@ -70,9 +70,6 @@ class CoherentModel:
     def __post_init__(self) -> None:
         check_order(self.n)
 
-    def state_at(self, t: float, r: float) -> GaussianState:
-        return GaussianState(t=t, R=r, Q=self.sf.q_at(t))
-
 
 @lru_cache(maxsize=None)
 def _chaos_terms(m: int) -> tuple:

@@ -1,79 +1,45 @@
-"""Finite-dimensional models driven by Dirac-atom structure functions.
+"""Finite-dimensional models: coherent models on Dirac-atom structure functions.
 
-Placing the squared coefficient density on atoms T_1 < ... < T_N plus an
-extra bookkeeping time T_{N+1} makes Q_t a step function and every path
-of (R, Q, pi, P) piecewise constant.  Initial curves come out in closed
-form, calibration to market bonds is an exact inversion, and simulation
-reduces to drawing one Gaussian increment per atom.
+A CoherentModel whose sf is a DiscreteAtoms with times T_1 < ... < T_N <
+T_{N+1} places the squared coefficient density on atoms.  T_1..T_N are
+the tradable maturities; the last atom is a bookkeeping horizon that
+carries the residual weight, and values of contracts maturing at or before
+T_N never depend on where it sits.  Q_t is then a step function and every
+path of (R, Q, pi, P) piecewise constant.  Initial curves come out in
+closed form, calibration to market bonds is an exact inversion, and
+simulation reduces to drawing one Gaussian increment per atom.
 
 Exact-arithmetic note: initial_curve works in whatever number type the
-grid weights carry.  Feeding Fraction weights yields Fraction prices with
-no rounding anywhere on the path from weights to curve.
+atom weights carry.  Fraction weights yield Fraction prices with no
+rounding anywhere on the path from weights to curve.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coherent_model import chaos_values, check_order, pair_sum
-from .special_functions import left_sum
+from .coherent_model import CoherentModel, chaos_values, check_order, pair_sum
+from .structure_functions import DiscreteAtoms
 
 
-@dataclass(frozen=True)
-class AtomGrid:
-    """Atom times T_1..T_N plus horizon T_{N+1}, with N+1 unit-sum weights.
+def check_atoms_model(model) -> float:
+    """Raise ValueError unless model is a finite-dimensional model; return its last maturity T_N.
 
-    The horizon carries the residual weight but is not a tradable maturity;
-    values of contracts maturing at or before T_N never depend on where the
-    horizon sits.
+    A finite-dimensional model is a CoherentModel on DiscreteAtoms with at
+    least one maturity before the horizon atom.
     """
-
-    maturities: tuple
-    horizon: float
-    weights: tuple
-
-    def __post_init__(self) -> None:
-        mats = tuple(self.maturities)
-        weights = tuple(self.weights)
-        if not mats:
-            raise ValueError("grid needs at least one maturity")
-        if mats[0] <= 0 or any(b <= a for a, b in zip(mats, mats[1:])):
-            raise ValueError("maturities must be strictly increasing and positive")
-        if not self.horizon > mats[-1]:
-            raise ValueError(f"horizon {self.horizon} must exceed the last maturity {mats[-1]}")
-        if len(weights) != len(mats) + 1:
-            raise ValueError(
-                f"need {len(mats) + 1} weights (one per maturity plus the horizon), got {len(weights)}"
-            )
-        if any(w < 0 or w > 1 for w in weights):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(left_sum(weights) - 1) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {left_sum(weights)!r}")
-        object.__setattr__(self, "maturities", mats)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def atom_times(self) -> tuple:
-        return self.maturities + (self.horizon,)
-
-    def structure_function(self):
-        from .structure_functions import DiscreteAtoms
-
-        return DiscreteAtoms(times=self.atom_times, weights=self.weights)
-
-    def cumulative_weight(self, t):
-        """Q_t: total weight of atoms at or before t, in the weights' own arithmetic."""
-        acc = 0
-        for T, w in zip(self.atom_times, self.weights):
-            if T <= t:
-                acc = acc + w
-        return acc
+    if not isinstance(model, CoherentModel) or not isinstance(model.sf, DiscreteAtoms):
+        raise ValueError(
+            "a finite-dimensional model must be a coherent model with an atom-family structure function"
+        )
+    if len(model.sf.times) < 2:
+        raise ValueError("a finite-dimensional model needs at least one maturity before the horizon atom")
+    return model.sf.times[-2]
 
 
 @dataclass(frozen=True)
@@ -101,25 +67,27 @@ class DiscountCurve:
         return 1 if idx == 0 else self.prices[idx - 1]
 
 
-def initial_curve(grid: AtomGrid, n: int) -> DiscountCurve:
-    """Time-0 curve P(0, t) = 1 - (cumulative weight)^n on each segment.
+def initial_curve(model: CoherentModel) -> DiscountCurve:
+    """Time-0 curve P(0, t) = 1 - Q_t^n on each segment, one step per atom.
 
-    Pure Python arithmetic throughout, so exact weight types give exact prices.
+    Q at each atom is the running sum of the weights, kept in their own
+    arithmetic, so exact weight types give exact prices; a float sum that
+    rounds past 1 is read as 1, as q_at reads it.
     """
-    check_order(n)
+    check_atoms_model(model)
     prices = []
-    s = 0
-    for w in grid.weights:
-        s = s + w
-        prices.append(1 - s**n)
-    return DiscountCurve(maturities=grid.atom_times, prices=tuple(prices))
+    q = 0
+    for w in model.sf.weights:
+        q = q + w
+        prices.append(1 - min(q, 1.0) ** model.n)
+    return DiscountCurve(maturities=model.sf.times, prices=tuple(prices))
 
 
-def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> AtomGrid:
-    """Invert the initial curve: weights reproducing the market bond prices.
+def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> CoherentModel:
+    """Invert the initial curve: the order-n atoms model reproducing the market bond prices.
 
-    Cumulative weights are s_i = (1 - P_i)^(1/n); the horizon receives the
-    remaining 1 - s_N.  Market prices must be strictly decreasing in (0, 1).
+    Cumulative weights are s_i = (1 - P_i)^(1/n); the horizon atom receives
+    the remaining 1 - s_N.  Market prices must be strictly decreasing in (0, 1).
     """
     check_order(n)
     weights = []
@@ -136,9 +104,12 @@ def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> AtomGrid:
         weights.append(s - s_prev)
         s_prev, p_prev = s, P
     weights.append(1.0 - s_prev)
+    last = market.maturities[-1]
     if horizon is None:
-        horizon = market.maturities[-1] + 1.0
-    return AtomGrid(maturities=market.maturities, horizon=horizon, weights=tuple(weights))
+        horizon = last + 1.0
+    if not horizon > last:
+        raise ValueError(f"horizon {horizon} must exceed the last maturity {last}")
+    return CoherentModel(n, DiscreteAtoms(times=market.maturities + (horizon,), weights=tuple(weights)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +138,7 @@ class SimplePaths:
         return self.values.shape[0]
 
 
-def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, seed: int) -> SimplePaths:
+def simulate_paths(model: CoherentModel, bond_maturity: float, count: int, seed: int) -> SimplePaths:
     """Exact path simulation: one N(0, p_i) increment of R per atom.
 
     Path j draws from its own counter-based stream keyed by (seed, j), so a
@@ -176,17 +147,16 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     pair_sum on X^(0..n-1), the product formula of the state values, with
     one g = 1 - Q per segment broadcast over the paths.
     """
-    check_order(n)
+    last = check_atoms_model(model)
     if count < 1:
         raise ValueError(f"path count must be a positive integer, got {count}")
     if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if not 0 < bond_maturity <= grid.maturities[-1]:
-        raise ValueError(
-            f"bond maturity must lie in (0, T_N] = (0, {grid.maturities[-1]}], got {bond_maturity}"
-        )
-    n_atoms = len(grid.weights)
-    sds = np.sqrt(np.asarray([float(w) for w in grid.weights]))
+    if not 0 < bond_maturity <= last:
+        raise ValueError(f"bond maturity must lie in (0, T_N] = (0, {last}], got {bond_maturity}")
+    n, sf = model.n, model.sf
+    n_atoms = len(sf.weights)
+    sds = np.sqrt(np.asarray([float(w) for w in sf.weights]))
     r = np.zeros((count, n_atoms + 1))
     # one generator re-keyed per path: the same draws as a fresh
     # Generator(Philox(key=[seed, j])), without building one per path
@@ -209,13 +179,13 @@ def simulate_paths(grid: AtomGrid, n: int, bond_maturity: float, count: int, see
     np.cumsum(r[:, 1:], axis=1, out=r[:, 1:])
     q = np.concatenate([[0.0], np.cumsum(sds**2)])
     q[-1] = 1.0
-    q_T = float(grid.cumulative_weight(bond_maturity))
+    q_T = float(sf.q_at(bond_maturity))
 
     xs = chaos_values(n - 1, r, q)
     g = 1.0 - q
     pi = pair_sum(n, n, xs, xs, g, g)
     numer = pair_sum(n, n, xs, xs, g, 1.0 - q_T)
-    starts = np.concatenate([[0.0], np.asarray([float(t) for t in grid.atom_times])])
+    starts = np.concatenate([[0.0], np.asarray([float(t) for t in sf.times])])
     alive = starts < bond_maturity
     bond = np.ones_like(r)
     np.divide(numer, pi, out=bond, where=alive & (pi > 0))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coherent_model import CoherentModel, chaos_value, chaos_values, kernel_coefficient
 from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
-from .polynomial_pricer import BondSpec, OptionSpec, SwaptionSpec
+from .polynomial_pricer import MAX_DEGREE, BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial, left_sum
 from .structure_functions import GaussianState
 
@@ -114,8 +114,8 @@ def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
     the adaptive pass never has to discover a kink, or a sign bump narrower
     than its probe spacing, on its own.
     """
-    if payoff_polynomial.degree > 30:
-        raise ValueError(f"polynomial degree {payoff_polynomial.degree} exceeds the supported maximum 30")
+    if payoff_polynomial.degree > MAX_DEGREE:
+        raise ValueError(f"polynomial degree {payoff_polynomial.degree} exceeds the supported maximum {MAX_DEGREE}")
     norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(z):

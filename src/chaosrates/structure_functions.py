@@ -110,6 +110,8 @@ class PiecewiseConstantDensity(StructureFunction):
         mass = left_sum(v * w for v, w in zip(values, lengths))
         if not mass > 0:
             raise ValueError("density must have positive total mass")
+        if mass == math.inf:  # finite nonnegative terms overflow only to +inf
+            raise ValueError("density total mass overflows the float range")
         # divide by the mass: its reciprocal overflows for a subnormal mass
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", tuple(v / mass for v in values))
@@ -166,6 +168,8 @@ class DiscreteAtoms(StructureFunction):
         total = left_sum(weights)
         if not total > 0:
             raise ValueError("atom weights must have positive sum")
+        if total == math.inf:  # finite nonnegative weights overflow only to +inf
+            raise ValueError("the sum of the atom weights overflows the float range")
         if total != 1:
             weights = tuple(w / total for w in weights)
         object.__setattr__(self, "times", times)

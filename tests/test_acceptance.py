@@ -13,9 +13,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from chaosrates import (
-    AtomGrid,
     CoherentModel,
     DiscountCurve,
+    DiscreteAtoms,
     ExponentialDensity,
     GaussianState,
     IncoherentModel,
@@ -339,12 +339,9 @@ def test_criterion_06_call_strike_shape(acceptance_log):
 
 
 def test_criterion_07_step_curve_exact(acceptance_log):
-    grid = AtomGrid(
-        maturities=(1.0, 4.0),
-        horizon=9.0,
-        weights=(Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
-    )
-    curve = initial_curve(grid, 2)
+    weights = (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    model = CoherentModel(2, DiscreteAtoms(times=(1.0, 4.0, 9.0), weights=weights))
+    curve = initial_curve(model)
     segments = (curve.price_at(0.5), curve.price_at(1.0), curve.price_at(4.0), curve.price_at(9.0))
     want = (1, Fraction(35, 36), Fraction(5, 9), Fraction(0, 1))
     exact = segments == want and all(
@@ -369,8 +366,7 @@ def test_criterion_08_calibration_round_trip(acceptance_log):
             prices.append(p)
         market = DiscountCurve(mats, tuple(prices))
         n = int(rng.integers(1, 4))
-        grid = calibrate_weights(market, n)
-        curve = initial_curve(grid, n)
+        curve = initial_curve(calibrate_weights(market, n))
         for T, P in zip(mats, prices):
             worst = max(worst, abs(curve.price_at(T) - P))
     ok = worst <= 1e-12
@@ -381,9 +377,9 @@ def test_criterion_08_calibration_round_trip(acceptance_log):
 
 def test_criterion_09_martingale_products(acceptance_log):
     t0 = time.perf_counter()
-    grid = AtomGrid(tuple(float(i) for i in range(1, 11)), 11.0, (0.08,) * 10 + (0.2,))
-    paths = simulate_paths(grid, 2, 7.0, 100_000, 314159)
-    target = 0.5 * float(initial_curve(grid, 2).price_at(7.0))
+    model = CoherentModel(2, DiscreteAtoms(tuple(float(i) for i in range(1, 12)), (0.08,) * 10 + (0.2,)))
+    paths = simulate_paths(model, 7.0, 100_000, 314159)
+    target = 0.5 * float(initial_curve(model).price_at(7.0))
     prods = paths.kernels * paths.bond_prices
     starts = paths.segment_starts
     det_err = abs(float(prods[:, 0].mean()) - target)  # time-0 column is deterministic
@@ -396,9 +392,9 @@ def test_criterion_09_martingale_products(acceptance_log):
         worst_z = max(worst_z, abs(float(col.mean()) - target) / se)
     del prods, paths
 
-    near = simulate_paths(grid, 2, 7.0, 100, 9)
-    far_grid = AtomGrid(grid.maturities, 25.0, grid.weights)
-    far = simulate_paths(far_grid, 2, 7.0, 100, 9)
+    near = simulate_paths(model, 7.0, 100, 9)
+    far_model = CoherentModel(2, DiscreteAtoms(model.sf.times[:-1] + (25.0,), model.sf.weights))
+    far = simulate_paths(far_model, 7.0, 100, 9)
     horizon_exact = (
         np.array_equal(near.values, far.values)
         and np.array_equal(near.brackets, far.brackets)

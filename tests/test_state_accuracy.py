@@ -18,7 +18,7 @@ price is checked against the banded double sum of the product formula,
 
 also in mpmath.  Simulated paths on a 30-atom grid are checked cell by cell
 against the same kernel and bond references, with the path's R and Q and
-the grid's Q_T as exact inputs.  Every value must lie within MAX_REL_ERROR
+the model's Q_T as exact inputs.  Every value must lie within MAX_REL_ERROR
 of its reference.
 """
 
@@ -29,8 +29,8 @@ import numpy as np
 import pytest
 
 from chaosrates import (
-    AtomGrid,
     CoherentModel,
+    DiscreteAtoms,
     ExponentialDensity,
     IncoherentModel,
     IncoherentTerm,
@@ -135,7 +135,7 @@ def test_coherent_state_values_match_the_reference(n):
     assert max(worst.values()) <= MAX_REL_ERROR, worst
 
 
-THIRTY_ATOMS = AtomGrid(tuple(0.5 * i for i in range(1, 31)), 16.0, (0.025,) * 30 + (0.25,))
+THIRTY_ATOMS = DiscreteAtoms(tuple(0.5 * i for i in range(1, 31)) + (16.0,), (0.025,) * 30 + (0.25,))
 PATH_ORDERS = (5, 12, 16, 20)
 PATH_MATURITY = 12.25
 PATHS_PER_ORDER = 8
@@ -143,8 +143,8 @@ PATHS_PER_ORDER = 8
 
 @pytest.mark.parametrize("n", PATH_ORDERS)
 def test_simulated_kernels_and_bonds_match_the_reference(n):
-    paths = simulate_paths(THIRTY_ATOMS, n, PATH_MATURITY, PATHS_PER_ORDER, 7919 * n)
-    q_T = float(THIRTY_ATOMS.cumulative_weight(PATH_MATURITY))
+    paths = simulate_paths(CoherentModel(n, THIRTY_ATOMS), PATH_MATURITY, PATHS_PER_ORDER, 7919 * n)
+    q_T = float(THIRTY_ATOMS.q_at(PATH_MATURITY))
     alive = np.flatnonzero(paths.segment_starts < PATH_MATURITY)
     worst = {"kernel": 0.0, "bond": 0.0}
     for j in range(len(paths)):

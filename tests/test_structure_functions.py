@@ -53,6 +53,11 @@ class TestPiecewiseConstantDensity:
         assert sf.q_at(0.5) == 0.0
         assert sf.q_at(1.5) == 0.5
 
+    def test_overflowing_mass_is_rejected(self):
+        # a mass of inf would divide every value down to 0 and leave Q at 0
+        with pytest.raises(ValueError, match="overflow"):
+            PiecewiseConstantDensity((1e200, 2e200), (1e200, 1e200))
+
     def test_unit_at_and_beyond_support(self):
         sf = PiecewiseConstantDensity((2.0, 5.0), (1.0, 1.0))
         # exactly 1.0, not merely close: the tails must carry zero variance
@@ -83,6 +88,33 @@ class TestDiscreteAtoms:
         sf = DiscreteAtoms((1.0, 4.0, 9.0), (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
         assert sf.q_at(4.0) == Fraction(2, 3)
         assert isinstance(sf.q_at(4.0), Fraction)
+
+    def test_q_is_an_exact_right_continuous_step(self):
+        sf = DiscreteAtoms((1.0, 2.0, 5.0), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+        steps = [(0.5, 0), (1.0, Fraction(1, 4)), (1.7, Fraction(1, 4)), (2.0, Fraction(1, 2)), (2.5, Fraction(1, 2))]
+        for t, q in steps:
+            assert sf.q_at(t) == q
+        assert isinstance(sf.q_at(2.5), Fraction)
+        assert sf.q_at(5.0) == 1
+
+    def test_validation(self):
+        for times, weights in [
+            ((), ()),
+            ((0.0, 1.0, 2.0), (0.3, 0.3, 0.4)),  # a time at 0
+            ((1.0, 1.0, 2.0), (0.3, 0.3, 0.4)),  # a repeated time
+            ((1.0, 2.0, 2.0), (0.3, 0.3, 0.4)),  # a horizon on the last maturity
+            ((1.0, 2.0, 3.0), (0.5, 0.5)),  # one weight short
+            ((1.0, 2.0, 3.0), (0.5, 0.7, -0.2)),  # a negative weight
+            ((1.0, 2.0), (0.0, 0.0)),  # no mass
+        ]:
+            with pytest.raises(ValueError):
+                DiscreteAtoms(times, weights)
+
+    def test_overflowing_weight_sum_is_rejected(self):
+        # a sum of inf would scale both weights to 0 and leave Q at 0, so
+        # P(0, T) would read 1 past every atom
+        with pytest.raises(ValueError, match="overflow"):
+            DiscreteAtoms((1.0, 2.0), (1e308, 1e308))
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12), st.integers(1, 20))
     @example([0.6229016948897019, 0.7417869892607294, 0.7951935655656966, 0.9424502837770503, 0.7398985747399307], 2)
