@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherent_model import CoherentModel, chaos_values, check_order, pair_sum
-from .structure_functions import DiscreteAtoms
+from .structure_functions import DiscreteAtoms, check_finite
 
 
 def check_atoms_model(model) -> float:
@@ -54,6 +54,7 @@ class DiscountCurve:
         prices = tuple(self.prices)
         if not mats or len(mats) != len(prices):
             raise ValueError("maturities and prices must be nonempty and equal length")
+        check_finite("maturities and prices", mats + prices)
         if mats[0] <= 0 or any(b <= a for a, b in zip(mats, mats[1:])):
             raise ValueError("maturities must be strictly increasing and positive")
         if any(p < 0 or p > 1 for p in prices):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import CoherentModel, chaos_value, chaos_values, kernel_coefficient
+from .coherent_model import CoherentModel, chaos_value, kernel_coefficient
 from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
 from .polynomial_pricer import MAX_DEGREE, BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial, left_sum
@@ -304,27 +304,57 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
 
 
 def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
+    """The payoff folded by _incoherent_form, evaluated in place chunk by chunk.
+
+    Each chunk draws a (size, K) block z, the same draw a full-size block
+    would hold, and writes driver R_i = sum_k F_ik z[:, k] (F F^T the joint
+    covariance of the drivers at t) straight into term i's X^(1) buffer, then
+    walks (m + 1) X^(m+1) = R_i X^(m) - q_i X^(m-1) up to X^(n_i - 1) in the
+    same per-term buffers, all allocated once per price.  A term of order 1
+    enters the form only as X^(0) = 1 and gets no buffer.  A form with no
+    random term (every q_i = 0, so every driver vanishes, or no product
+    left, as when every order is 1) is its constant, priced with a standard
+    error of 0.0 and no draw.
+    """
     t, weight, legs, clipped = _payoff_legs(payoff)
     terms = model.terms
     constant, products = _incoherent_form(model, t, weight, legs)
     q_t = [term.sf.q_at(t) for term in terms]
-    factor = _gram_factor(accumulated_gram_matrix(model, t))  # joint covariance of the drivers at t
+    if not products or not any(q_t):
+        return (max(constant, 0.0) if clipped else constant), 0.0
+    factor = _gram_factor(accumulated_gram_matrix(model, t))
     width = min(samples, MC_CHUNK)
     acc, prod = np.empty((2, width))
-    z, drivers = np.empty((2, width, len(terms)))
+    z = np.empty((width, len(terms)))
+    # xs[i][m - 1] holds X^(m) of term i for m = 1..n_i - 1
+    xs = [np.empty((term.order - 1, width)) for term in terms]
 
     def chunk_values(size):
-        r = np.matmul(rng.standard_normal(out=z[:size]), factor.T, out=drivers[:size])
-        xs = []
-        for i, term in enumerate(terms):
-            x = chaos_values(term.order - 1, np.ascontiguousarray(r[:, i]), q_t[i])
-            x[0] = 1.0  # a scalar, so a linear term costs one multiply
-            xs.append(x)
+        zs = rng.standard_normal(out=z[:size])
         out, tmp = acc[:size], prod[:size]
+        for i, (term, q) in enumerate(zip(terms, q_t)):
+            if term.order == 1:
+                continue
+            x = xs[i][:, :size]
+            r = np.multiply(zs[:, 0], factor[i, 0], out=x[0])
+            for k in range(1, len(terms)):
+                r += np.multiply(zs[:, k], factor[i, k], out=tmp)
+            if term.order > 2:
+                # X^(2) = (R^2 - q) / 2, as X^(0) = 1
+                np.multiply(r, r, out=x[1])
+                x[1] -= q
+                x[1] /= 2
+            for m in range(2, term.order - 1):
+                np.multiply(r, x[m - 1], out=x[m])
+                x[m] -= np.multiply(x[m - 2], q, out=tmp)
+                x[m] /= m + 1
         out.fill(constant)
         for c, i, a, j, b in products:
-            np.multiply(xs[i][a], xs[j][b], out=tmp)
-            tmp *= c
+            if a == 0:
+                np.multiply(xs[j][b - 1, :size], c, out=tmp)
+            else:
+                np.multiply(xs[i][a - 1, :size], xs[j][b - 1, :size], out=tmp)
+                tmp *= c
             out += tmp
         if clipped:
             np.maximum(out, 0.0, out=out)

@@ -429,6 +429,15 @@ class TestCalibrate:
         assert code == 2
         assert "2.0" in err
 
+    @pytest.mark.parametrize("rows", [[(1.0, 0.9), ("nan", 0.8)], [("nan", 0.9), (2.0, 0.8)]], ids=["last", "first"])
+    def test_nan_maturity_is_a_market_data_error(self, capsys, tmp_path, rows):
+        # not a horizon error, though no --horizon was given
+        market = self.write_market(tmp_path, rows)
+        code, out, err = run(capsys, "calibrate", "--market", market, "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert "maturities and prices must be finite" in err
+
     def test_missing_market_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "calibrate", "--market", str(tmp_path / "nope.csv"), "--order", "2"

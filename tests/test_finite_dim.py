@@ -74,6 +74,16 @@ class TestDiscountCurve:
         with pytest.raises(ValueError):
             DiscountCurve((1.0,), (1.2,))
 
+    @pytest.mark.parametrize(
+        "maturities, prices",
+        [((1.0, math.nan), (0.9, 0.8)), ((math.nan, 2.0), (0.9, 0.8)), ((1.0, math.inf), (0.9, 0.8)), ((1.0, 2.0), (0.9, math.nan))],
+        ids=["nan-last-maturity", "nan-first-maturity", "inf-maturity", "nan-price"],
+    )
+    def test_rejects_non_finite_entries(self, maturities, prices):
+        # every ordering and range check is false for NaN
+        with pytest.raises(ValueError, match="maturities and prices must be finite"):
+            DiscountCurve(maturities, prices)
+
     def test_price_at_steps(self):
         curve = DiscountCurve((1.0, 3.0), (0.9, 0.7))
         assert curve.price_at(0.5) == 1

@@ -17,6 +17,7 @@ from chaosrates import (
     SwaptionSpec,
     adaptive_simpson,
     expected_positive_part,
+    incoherent_bond_price,
     initial_bond_price,
     kernel_polynomial,
     mc_conditional_variance,
@@ -38,6 +39,13 @@ from support import banded_projection
 
 SF = ExponentialDensity(0.7)
 ORDER_TWO = CoherentModel(2, SF)
+# atoms from 1.2 on: an expiry at 1.0 sees no variance in either term
+ZERO_BRACKET_PAIR = IncoherentModel(
+    (
+        IncoherentTerm(0.8, 2, DiscreteAtoms((1.5, 2.0), (0.6, 0.4))),
+        IncoherentTerm(0.5, 3, DiscreteAtoms((1.2, 3.0), (0.5, 0.5))),
+    )
+)
 
 
 class DrawCounter:
@@ -274,14 +282,24 @@ class TestChunkedMonteCarlo:
             (CoherentModel(1, SF), BondSpec(2.0)),
             # no variance accrues before the first atom: q_t = 0
             (CoherentModel(3, DiscreteAtoms((1.5, 2.0), (0.6, 0.4))), OptionSpec(1.0, 1.5, 0.5)),
+            # every term's q_t = 0, so every driver vanishes
+            (ZERO_BRACKET_PAIR, OptionSpec(1.0, 2.5, 0.4)),
+            (ZERO_BRACKET_PAIR, SwaptionSpec(1.0, (2.0, 3.0), 0.05)),
+            # order-1 terms leave no product: pi_t is deterministic
+            (IncoherentModel((IncoherentTerm(0.8, 1, SF), IncoherentTerm(-0.3, 1, ExponentialDensity(0.2)))), OptionSpec(1.0, 2.0, 0.55)),
         ],
-        ids=["n1-call", "n1-swaption", "n1-bond", "zero-bracket-call"],
+        ids=["n1-call", "n1-swaption", "n1-bond", "zero-bracket-call", "incoherent-zero-bracket-call", "incoherent-zero-bracket-swaption", "incoherent-order-one-call"],
     )
     def test_payoff_without_random_term_draws_nothing(self, monkeypatch, model, payoff):
         # the folded form is its X^(0) coefficient: the payoff at time-0
         # bond prices (n! pi_0 = 1)
+        if isinstance(model, IncoherentModel):
+            origin = multi_state_at(model, 0.0, [0.0] * len(model.terms))
+            bond = lambda T: incoherent_bond_price(model, origin, T)
+        else:
+            bond = lambda T: initial_bond_price(model, T)
         t, weight, legs, clipped = _payoff_legs(payoff)
-        value = weight * initial_bond_price(model, t) + sum(b * initial_bond_price(model, T) for T, b in legs)
+        value = weight * bond(t) + sum(b * bond(T) for T, b in legs)
         counter = DrawCounter(1)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
         est, se = mc_price(model, payoff, self.SAMPLES, 1)
@@ -337,13 +355,14 @@ class TestChunkedMonteCarlo:
             ((1, 3), OptionSpec(1.0, 3.0, 0.3)),
             ((2, 2), SwaptionSpec(1.0, (2.0, 3.0, 4.5), 0.05)),
             ((2, 3), OptionSpec(0.8, 2.5, 0.4)),
+            # three drivers, each a sum over all three columns of the draw
+            ((1, 2, 3), OptionSpec(1.0, 3.0, 0.3)),
         ],
-        ids=["call-equal-order", "call-one-plus-n", "swaption-equal-order", "call-orders-2-3"],
+        ids=["call-equal-order", "call-one-plus-n", "swaption-equal-order", "call-orders-2-3", "call-orders-1-2-3"],
     )
     def test_incoherent_payoff_matches_one_shot_draw(self, orders, payoff):
-        model = IncoherentModel(
-            (IncoherentTerm(0.8, orders[0], SF), IncoherentTerm(0.5, orders[1], ExponentialDensity(0.2)))
-        )
+        weights, sfs = (0.8, 0.5, 0.35), (SF, ExponentialDensity(0.2), ExponentialDensity(1.3))
+        model = IncoherentModel(tuple(IncoherentTerm(c, n, sf) for c, n, sf in zip(weights, orders, sfs)))
         want = self._incoherent_one_shot(model, payoff, 26)
         assert want[0] > 0.0
         self._assert_close(mc_price(model, payoff, self.SAMPLES, 26), want)
@@ -373,29 +392,30 @@ class TestChunkedMonteCarlo:
         mean, se = self._mean_and_error(squares)
         self._assert_close(mc_conditional_variance(CoherentModel(3, SF), state, self.SAMPLES, seed), (mean - x_t**2, se))
 
-    def test_memory_does_not_grow_with_the_sample_count(self):
-        spec = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05)
+    @staticmethod
+    def _assert_flat_peak(price):
+        # tracemalloc peak of price(samples) at 2e5 and 2e6 samples
         peaks = []
         for samples in (200_000, 2_000_000):
             tracemalloc.start()
             try:
-                mc_price(CoherentModel(3, SF), spec, samples, 24)
+                price(samples)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
 
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        spec = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05)
+        self._assert_flat_peak(lambda samples: mc_price(CoherentModel(3, SF), spec, samples, 24))
+
+    def test_incoherent_memory_does_not_grow_with_the_sample_count(self):
+        model = IncoherentModel((IncoherentTerm(0.8, 2, SF), IncoherentTerm(0.5, 3, ExponentialDensity(0.2))))
+        self._assert_flat_peak(lambda samples: mc_price(model, OptionSpec(0.8, 2.5, 0.4), samples, 30))
+
     def test_conditional_variance_memory_does_not_grow_with_the_sample_count(self):
         state = GaussianState(1.0, 0.4, SF.q_at(1.0))
-        peaks = []
-        for samples in (200_000, 2_000_000):
-            tracemalloc.start()
-            try:
-                mc_conditional_variance(CoherentModel(3, SF), state, samples, 28)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 2 * 2**20, peaks
+        self._assert_flat_peak(lambda samples: mc_conditional_variance(CoherentModel(3, SF), state, samples, 28))
 
 
 def test_general_order_kernel_form_is_the_conditional_variance():
