@@ -158,8 +158,8 @@ def kernel_coefficient(n: int, k: int) -> Fraction:
 def product_weights(n: int, g, g_T) -> list:
     """[(g^N - h^N) / N! for N = 1..n <= MAX_ORDER], h = g - g_T: the product-formula weights.
 
-    g^N - h^N is built as pair_sum builds it, d <- g d + h^(N-1) g_T, a sum
-    of nonnegative terms that cancels nothing; g_T = g gives g^N / N!.
+    g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum of nonnegative
+    terms that cancels nothing; g_T = g gives g^N / N!.
     """
     h = g - g_T
     d = 0.0
@@ -205,19 +205,13 @@ def pair_sum(a: int, b: int, xi, xj, g, g_T):
     xi = X^(0..a-1)(phi_i) and xj = X^(0..b-1)(phi_j) at the state, with
     g = int_t^inf phi_i phi_j and g_T = int_T^inf phi_i phi_j.  g_T = g gives
     the kernel term, weights g^N / N!; g_T read at a bond maturity gives the
-    term of E_t[pi_T].  g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum
-    of nonnegative terms, so a far maturity cancels nothing.  Chaos values
-    and g, g_T may be arrays that broadcast together; each cell then takes
-    the rounding of the scalar sum.
+    term of E_t[pi_T], with the weights of product_weights, so a far
+    maturity cancels nothing.  Chaos values and g, g_T may be arrays that
+    broadcast together; each cell then takes the rounding of the scalar sum.
     """
-    h = g - g_T
-    d = acc = 0.0
-    h_power = factorial = 1.0
-    for N in range(1, min(a, b) + 1):
-        d = g * d + h_power * g_T
-        h_power *= h
-        factorial *= N
-        acc += d / factorial * xi[a - N] * xj[b - N]
+    acc = 0.0
+    for N, w in enumerate(product_weights(min(a, b), g, g_T), 1):
+        acc += w * xi[a - N] * xj[b - N]
     return acc
 
 

@@ -145,19 +145,30 @@ def multi_state_at(model: IncoherentModel, t: float, values) -> MultiGaussianSta
     return MultiGaussianState(t=t, values=values, brackets=brackets, residual_gram=gram)
 
 
+def scaled_weights(model: IncoherentModel) -> tuple:
+    """(e, [c_i 2^-e]) with 2^(e-1) <= max |c_i| < 2^e: a power-of-two scale,
+    so sums of products c_i c_j are scaled by 4^-e exactly, and the largest
+    neither overflows nor underflows, however large or small the weights."""
+    e = math.frexp(max(abs(term.weight) for term in model.terms))[1]
+    return e, [math.ldexp(term.weight, -e) for term in model.terms]
+
+
+def check_state_size(model: IncoherentModel, state: MultiGaussianState) -> None:
+    """Raise ValueError unless the state holds one driver per model term."""
+    if len(state.values) != len(model.terms):
+        raise ValueError(f"state has {len(state.values)} driver values but the model has {len(model.terms)} terms")
+
+
 def _kernel_and_numerator(model: IncoherentModel, state: MultiGaussianState, maturity=None) -> tuple:
     """(e, pi_t, E_t[pi_T]) by the product formula, for any chaos orders.
 
-    Both sums use the weights c_i 2^-e, with 2^(e-1) <= max |c_i| < 2^e, so
-    they are pi_t and E_t[pi_T] times 4^-e, exactly, since the scale is a
-    power of two; the largest products c_i c_j then neither overflow nor
-    underflow, however large or small the weights.  Pairs i < j are counted
-    twice.  The numerator is computed only when a maturity is given (else
-    it is 0).
+    Both sums use scaled_weights, so they are pi_t and E_t[pi_T] times
+    4^-e.  Pairs i < j are counted twice.  The numerator is computed only
+    when a maturity is given (else it is 0).
     """
+    check_state_size(model, state)
     terms = model.terms
-    e = math.frexp(max(abs(term.weight) for term in terms))[1]
-    c = [math.ldexp(term.weight, -e) for term in terms]
+    e, c = scaled_weights(model)
     xs = [chaos_values(term.order - 1, r, q) for term, r, q in zip(terms, state.values, state.brackets)]
     pi_t = numer = 0.0
     for i, ti in enumerate(terms):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent_model import CoherentModel, chaos_value, kernel_coefficient
-from .incoherent_model import IncoherentModel, MultiGaussianState, accumulated_gram_matrix, residual_gram_matrix
+from .incoherent_model import IncoherentModel, IncoherentTerm, MultiGaussianState, check_state_size, scaled_weights
+from .incoherent_model import accumulated_gram_matrix, residual_gram_matrix
 from .polynomial_pricer import MAX_DEGREE, BondSpec, OptionSpec, SwaptionSpec
 from .special_functions import RealPolynomial, left_sum
 from .structure_functions import GaussianState
@@ -264,13 +265,11 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     cancellation when T is far.  Returns (constant, products) divided by
     pi_0: products holds (coefficient, i, a, j, b) for X_i^(a) X_j^(b) with
     a <= b, pairs i < j counted twice, and a = 0 meaning X^(0) = 1.  The
-    weights are scaled by a power of two to max |c_i| in [1/2, 1), which
-    cancels exactly in the ratio and keeps the largest c_i c_j from
-    overflowing or underflowing.
+    weights are scaled_weights, whose power-of-two scale cancels exactly in
+    the ratio.
     """
     terms = model.terms
-    e = math.frexp(max(abs(term.weight) for term in terms))[1]
-    c = [math.ldexp(term.weight, -e) for term in terms]
+    c = scaled_weights(model)[1]
     grams = [residual_gram_matrix(model, T) for T, _ in legs]
     gram_t, gram_0 = residual_gram_matrix(model, t), residual_gram_matrix(model, 0.0)
     # at t = 0 every X^(m >= 1) vanishes: only s = n_i = n_j survives
@@ -303,48 +302,43 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     return constant, products
 
 
-def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
-    """The payoff folded by _incoherent_form, evaluated in place chunk by chunk.
+def _mc_form(constant, products, factor, shifts, brackets, clipped: bool, samples: int, rng):
+    """Mean and standard error of constant + sum c X_i^(a) X_j^(b), clipped or not.
 
-    Each chunk draws a (size, K) block z, the same draw a full-size block
-    would hold, and writes driver R_i = sum_k F_ik z[:, k] (F F^T the joint
-    covariance of the drivers at t) straight into term i's X^(1) buffer, then
-    walks (m + 1) X^(m+1) = R_i X^(m) - q_i X^(m-1) up to X^(n_i - 1) in the
-    same per-term buffers, all allocated once per price.  A term of order 1
-    enters the form only as X^(0) = 1 and gets no buffer.  A form with no
-    random term (every q_i = 0, so every driver vanishes, or no product
-    left, as when every order is 1) is its constant, priced with a standard
-    error of 0.0 and no draw.
+    products holds (c, i, a, j, b), a = 0 meaning X^(0) = 1.  Each chunk
+    draws a (size, K) block z, the same draw a full-size block would hold,
+    writes R_i = shift_i + sum_k F_ik z[:, k] into term i's X^(1) buffer and
+    walks (m + 1) X^(m+1) = R_i X^(m) - q_i X^(m-1), q_i = brackets[i], in
+    place up to the highest order of term i that products read.  Every
+    buffer is allocated once per call; a term read only at X^(0) gets none.
     """
-    t, weight, legs, clipped = _payoff_legs(payoff)
-    terms = model.terms
-    constant, products = _incoherent_form(model, t, weight, legs)
-    q_t = [term.sf.q_at(t) for term in terms]
-    if not products or not any(q_t):
-        return (max(constant, 0.0) if clipped else constant), 0.0
-    factor = _gram_factor(accumulated_gram_matrix(model, t))
+    top = [0] * len(brackets)
+    for _, i, a, j, b in products:
+        top[i], top[j] = max(top[i], a), max(top[j], b)
     width = min(samples, MC_CHUNK)
     acc, prod = np.empty((2, width))
-    z = np.empty((width, len(terms)))
-    # xs[i][m - 1] holds X^(m) of term i for m = 1..n_i - 1
-    xs = [np.empty((term.order - 1, width)) for term in terms]
+    z = np.empty((width, factor.shape[1]))
+    # xs[i][m - 1] holds X^(m) of term i for m = 1..top[i]
+    xs = [np.empty((m, width)) for m in top]
 
     def chunk_values(size):
         zs = rng.standard_normal(out=z[:size])
         out, tmp = acc[:size], prod[:size]
-        for i, (term, q) in enumerate(zip(terms, q_t)):
-            if term.order == 1:
+        for i, (shift, q) in enumerate(zip(shifts, brackets)):
+            if top[i] == 0:
                 continue
             x = xs[i][:, :size]
             r = np.multiply(zs[:, 0], factor[i, 0], out=x[0])
-            for k in range(1, len(terms)):
+            for k in range(1, factor.shape[1]):
                 r += np.multiply(zs[:, k], factor[i, k], out=tmp)
-            if term.order > 2:
+            if shift != 0.0:  # prices carry no shift and skip this pass
+                r += shift
+            if top[i] > 1:
                 # X^(2) = (R^2 - q) / 2, as X^(0) = 1
                 np.multiply(r, r, out=x[1])
                 x[1] -= q
                 x[1] /= 2
-            for m in range(2, term.order - 1):
+            for m in range(2, top[i]):
                 np.multiply(r, x[m - 1], out=x[m])
                 x[m] -= np.multiply(x[m - 2], q, out=tmp)
                 x[m] /= m + 1
@@ -361,6 +355,22 @@ def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
         return out
 
     return _chunked_mean_and_error(samples, chunk_values)
+
+
+def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
+    """The payoff folded by _incoherent_form, sampled by _mc_form at the
+    drivers' joint covariance at t.  A form with no random term (every
+    q_i = 0, so every driver vanishes, or no product left, as when every
+    order is 1) is its constant, priced with a standard error of 0.0 and no
+    draw.
+    """
+    t, weight, legs, clipped = _payoff_legs(payoff)
+    constant, products = _incoherent_form(model, t, weight, legs)
+    q_t = [term.sf.q_at(t) for term in model.terms]
+    if not products or not any(q_t):
+        return (max(constant, 0.0) if clipped else constant), 0.0
+    factor = _gram_factor(accumulated_gram_matrix(model, t))
+    return _mc_form(constant, products, factor, [0.0] * len(q_t), q_t, clipped, samples, rng)
 
 
 def mc_price(model, payoff, samples: int, seed: int):
@@ -380,41 +390,32 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
 
     Uses mean(X_inf^2) - (E_t[X_inf])^2 with the conditional mean known in
     closed form (martingale property), halving the estimator noise relative
-    to a plain sample variance.  The squares are drawn and averaged
-    MC_CHUNK at a time, so memory stays constant.  Incoherent weights are
-    scaled by 2^-e to max |c_i| in [1/2, 1), exactly, and the estimate
-    scaled back by 4^e, so OverflowError is raised only when the variance
-    itself lies beyond the float range.
+    to a plain sample variance.  _mc_form samples X_inf^2 as
+    sum_ij c_i c_j X_i^(n_i) X_j^(n_j) at bracket 1, drivers R_i plus a draw
+    of the residual Gram.  A coherent (model, state) is the one-term pair:
+    weight 1, order n, Gram [[1 - Q]].  The weights are scaled_weights and
+    the estimate scaled back by 4^e, so OverflowError is raised only when
+    the variance itself lies beyond the float range.  With every residual
+    variance zero the variance is exactly 0.0, returned with no draw.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    rng = np.random.default_rng(seed)
     if isinstance(model, CoherentModel) and isinstance(state, GaussianState):
-        e = 0
-        x_t = chaos_value(model.n, state.R, state.Q)
-        resid = math.sqrt(1.0 - state.Q)
-
-        def chunk_squares(size):
-            r_inf = state.R + resid * rng.standard_normal(size)
-            return chaos_value(model.n, r_inf, 1.0) ** 2
-
-    elif isinstance(model, IncoherentModel) and isinstance(state, MultiGaussianState):
-        terms = model.terms
-        e = math.frexp(max(abs(term.weight) for term in terms))[1]
-        c = [math.ldexp(term.weight, -e) for term in terms]
-        factor = _gram_factor(state.residual_gram)
-        x_t = 0.0
-        for i, term in enumerate(terms):
-            x_t += c[i] * chaos_value(term.order, state.values[i], state.brackets[i])
-
-        def chunk_squares(size):
-            delta = rng.standard_normal((size, len(terms))) @ factor.T
-            x_inf = np.zeros(size)
-            for i, term in enumerate(terms):
-                x_inf += c[i] * chaos_value(term.order, state.values[i] + delta[:, i], 1.0)
-            return x_inf**2
-
-    else:
+        model = IncoherentModel((IncoherentTerm(1.0, model.n, model.sf),))
+        state = MultiGaussianState(state.t, (state.R,), (state.Q,), ((1.0 - state.Q,),))
+    elif not (isinstance(model, IncoherentModel) and isinstance(state, MultiGaussianState)):
         raise ValueError("model/state pairing not supported")
-    mean, se = _chunked_mean_and_error(samples, chunk_squares)
+    check_state_size(model, state)
+    terms = model.terms
+    if not any(state.residual_gram[i][i] for i in range(len(terms))):
+        return 0.0, 0.0
+    e, c = scaled_weights(model)
+    x_t = sum(ci * chaos_value(term.order, r, q) for ci, term, r, q in zip(c, terms, state.values, state.brackets))
+    products = [
+        ((1.0 if i == j else 2.0) * c[i] * c[j], i, ti.order, j, tj.order)
+        for i, ti in enumerate(terms)
+        for j, tj in enumerate(terms[i:], i)
+    ]
+    factor, rng = _gram_factor(state.residual_gram), np.random.default_rng(seed)
+    mean, se = _mc_form(0.0, products, factor, state.values, [1.0] * len(terms), False, samples, rng)
     return math.ldexp(mean - x_t**2, 2 * e), math.ldexp(se, 2 * e)

@@ -365,6 +365,20 @@ class TestGeneralOrders:
         assert mixed_order_kernel(ORDERS_2_3, state) == incoherent_kernel(ORDERS_2_3, state)
 
 
+@pytest.mark.parametrize(
+    "price",
+    [incoherent_kernel, lambda m, s: incoherent_bond_price(m, s, 2.0), lambda m, s: mc_conditional_variance(m, s, 1_000, 5)],
+    ids=["kernel", "bond", "conditional-variance"],
+)
+@pytest.mark.parametrize(
+    "model, other", [(EQUAL_ORDER, ORDERS_1_2_4), (ORDERS_1_2_4, EQUAL_ORDER)], ids=["more-drivers", "fewer-drivers"]
+)
+def test_state_size_must_match_the_model(price, model, other):
+    state = multi_state_at(other, 1.0, (0.1,) * len(other.terms))
+    with pytest.raises(ValueError, match=f"{len(other.terms)} driver values but the model has {len(model.terms)} terms"):
+        price(model, state)
+
+
 class TestBondPrices:
     def test_par_at_state_time(self):
         st_eq = multi_state_at(EQUAL_ORDER, 1.0, (0.3, -0.4))

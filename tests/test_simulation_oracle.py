@@ -18,6 +18,7 @@ from chaosrates import (
     adaptive_simpson,
     expected_positive_part,
     incoherent_bond_price,
+    incoherent_kernel,
     initial_bond_price,
     kernel_polynomial,
     mc_conditional_variance,
@@ -46,6 +47,21 @@ ZERO_BRACKET_PAIR = IncoherentModel(
         IncoherentTerm(0.5, 3, DiscreteAtoms((1.2, 3.0), (0.5, 0.5))),
     )
 )
+
+# every atom lies before 2.5: both residual variances vanish from there on
+ZERO_RESIDUAL_PAIR = IncoherentModel(
+    (
+        IncoherentTerm(0.8, 2, DiscreteAtoms((1.5, 2.0), (0.6, 0.4))),
+        IncoherentTerm(0.5, 3, DiscreteAtoms((1.2, 2.2), (0.5, 0.5))),
+    )
+)
+
+
+class NoDraw:
+    """A Generator stand-in whose draw fails the test."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("drew normals where the result is deterministic")
 
 
 class DrawCounter:
@@ -306,6 +322,19 @@ class TestChunkedMonteCarlo:
         assert counter.calls == 0
         assert se == 0.0
         assert est == pytest.approx(max(value, 0.0) if clipped else value, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "model, state, kernel",
+        [
+            (ORDER_TWO, GaussianState(5.0, 0.1, 1.0), pricing_kernel),
+            (ZERO_RESIDUAL_PAIR, multi_state_at(ZERO_RESIDUAL_PAIR, 2.5, (0.3, -0.7)), incoherent_kernel),
+        ],
+        ids=["coherent-order-two", "incoherent-past-last-atom"],
+    )
+    def test_conditional_variance_without_residual_draws_nothing(self, monkeypatch, model, state, kernel):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraw())
+        assert kernel(model, state) == 0.0
+        assert mc_conditional_variance(model, state, self.SAMPLES, 1) == (0.0, 0.0)
 
     def test_coherent_price_draws_once_per_chunk(self, monkeypatch):
         counter = DrawCounter(1)
