@@ -162,7 +162,7 @@ def _payoff_legs(payoff) -> tuple:
 
 def _gram_factor(gram) -> np.ndarray:
     # F with F F^T = gram, for a positive semidefinite Gram matrix
-    vals, vecs = np.linalg.eigh(np.asarray(gram))
+    vals, vecs = np.linalg.eigh(gram)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
@@ -200,14 +200,20 @@ def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
     q_T, so the whole payoff, times n!, is sum_j c_j X^(2j) with c_j =
     n! w_(n-j) sum_legs b (1 - q^(n-j)).  Only even orders occur, and with
     R_t = sqrt(q_t) Z, X^(2j) = q_t^j He_2j(Z) / (2j)!, so each chunk sums
-    a_j He_2j(Z) with a_j = c_j q_t^j / (2j)!, walking the even Hermite
-    polynomials in y = Z^2 (DLMF 18.7.19 in Laguerre form),
+    a_j He_2j(Z) with a_j = c_j q_t^j / (2j)!.  The even Hermite
+    polynomials in y = Z^2 obey (DLMF 18.7.19 in Laguerre form)
 
         He_2j+2 = (y - 4j - 1) He_2j - 2j (2j - 1) He_2j-2,
 
-    in n - 1 steps over buffers allocated once per price.  A form with no
-    random term (q_t = 0, or every a_j = 0 for j >= 1, as at n = 1) is its
-    X^(0) coefficient, priced with a standard error of 0.0 and no draw.
+    so Clenshaw's backward recurrence
+
+        b_j = a_j + (y - 4j - 1) b_(j+1) - 2 (j+1) (2j+1) b_(j+2)
+
+    from b_n = 0 and b_(n-1) = a_(n-1), both kept as scalars, ends in the
+    sum b_0: at most five array passes per order over four buffers
+    allocated once per price.  A form with no random term (q_t = 0, or
+    every a_j = 0 for j >= 1, as at n = 1) is its X^(0) coefficient, priced
+    with a standard error of 0.0 and no draw.
     """
     n = model.n
     t, weight, legs, clipped = _payoff_legs(payoff)
@@ -225,27 +231,34 @@ def _mc_coherent(model: CoherentModel, payoff, samples: int, rng):
     ]
     if not any(a[1:]):
         return (max(a[0], 0.0) if clipped else a[0]), 0.0
-    y, acc, prev, cur, tmp = np.empty((5, min(samples, MC_CHUNK)))
+    ys, nexts, afters, works = np.empty((4, min(samples, MC_CHUNK)))
 
     def chunk_values(size):
-        z = rng.standard_normal(out=y[:size])
-        np.multiply(z, z, out=z)
-        out, h_prev, h_cur, work = acc[:size], prev[:size], cur[:size], tmp[:size]
-        h_prev.fill(1.0)
-        np.subtract(z, 1.0, out=h_cur)
-        np.multiply(h_cur, a[1], out=out)
-        out += a[0]
-        for j in range(1, n - 1):
-            # h_prev becomes He_2j+2, then the two swap names
-            np.subtract(z, 4 * j + 1, out=work)
-            work *= h_cur
-            h_prev *= 2 * j * (2 * j - 1)
-            np.subtract(work, h_prev, out=h_prev)
-            h_prev, h_cur = h_cur, h_prev
-            out += np.multiply(h_cur, a[j + 1], out=work)
+        y = rng.standard_normal(out=ys[:size])
+        np.multiply(y, y, out=y)
+        # b_(n-2) from the scalars b_(n-1) = a_(n-1) and b_n = 0
+        b_next, b_after, work = nexts[:size], afters[:size], works[:size]
+        np.subtract(y, 4 * n - 7, out=b_next)
+        b_next *= a[n - 1]
+        b_next += a[n - 2]
+        if n > 2:
+            # b_(n-3), whose b_(n-1) is still the scalar a_(n-1)
+            j = n - 3
+            np.subtract(y, 4 * j + 1, out=b_after)
+            b_after *= b_next
+            b_after += a[j] - 2 * (j + 1) * (2 * j + 1) * a[n - 1]
+            b_next, b_after = b_after, b_next
+        for j in range(n - 4, -1, -1):
+            # b_after becomes b_j, then the two swap names
+            np.subtract(y, 4 * j + 1, out=work)
+            work *= b_next
+            b_after *= 2 * (j + 1) * (2 * j + 1)
+            np.subtract(work, b_after, out=b_after)
+            b_after += a[j]
+            b_next, b_after = b_after, b_next
         if clipped:
-            np.maximum(out, 0.0, out=out)
-        return out
+            np.maximum(b_next, 0.0, out=b_next)
+        return b_next
 
     return _chunked_mean_and_error(samples, chunk_values)
 
@@ -302,35 +315,39 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     return constant, products
 
 
-def _mc_form(constant, products, factor, shifts, brackets, clipped: bool, samples: int, rng):
+def _mc_form(constant, products, gram, shifts, brackets, clipped: bool, samples: int, rng):
     """Mean and standard error of constant + sum c X_i^(a) X_j^(b), clipped or not.
 
-    products holds (c, i, a, j, b), a = 0 meaning X^(0) = 1.  Each chunk
-    draws a (size, K) block z, the same draw a full-size block would hold,
-    writes R_i = shift_i + sum_k F_ik z[:, k] into term i's X^(1) buffer and
-    walks (m + 1) X^(m+1) = R_i X^(m) - q_i X^(m-1), q_i = brackets[i], in
-    place up to the highest order of term i that products read.  Every
-    buffer is allocated once per call; a term read only at X^(0) gets none.
+    products holds (c, i, a, j, b), a = 0 meaning X^(0) = 1, and gram is
+    the drivers' joint covariance.  Only the K_read terms that products
+    read at some X^(m >= 1) get a driver: with F F^T their Gram
+    sub-matrix, each chunk draws a (size, K_read) block z, the same draw a
+    full-size block would hold, writes R_i = shift_i + sum_k F_ik z[:, k]
+    into term i's X^(1) buffer and walks (m + 1) X^(m+1) = R_i X^(m) -
+    q_i X^(m-1), q_i = brackets[i], in place up to the highest order of
+    term i that products read.  Every buffer is allocated once per call; a
+    term read only at X^(0) gets no buffer and no normal.
     """
     top = [0] * len(brackets)
     for _, i, a, j, b in products:
         top[i], top[j] = max(top[i], a), max(top[j], b)
+    read = [i for i, m in enumerate(top) if m]
+    factor = _gram_factor(np.asarray(gram)[np.ix_(read, read)])
     width = min(samples, MC_CHUNK)
     acc, prod = np.empty((2, width))
-    z = np.empty((width, factor.shape[1]))
+    z = np.empty((width, len(read)))
     # xs[i][m - 1] holds X^(m) of term i for m = 1..top[i]
     xs = [np.empty((m, width)) for m in top]
 
     def chunk_values(size):
         zs = rng.standard_normal(out=z[:size])
         out, tmp = acc[:size], prod[:size]
-        for i, (shift, q) in enumerate(zip(shifts, brackets)):
-            if top[i] == 0:
-                continue
+        for i, row in zip(read, factor):
+            shift, q = shifts[i], brackets[i]
             x = xs[i][:, :size]
-            r = np.multiply(zs[:, 0], factor[i, 0], out=x[0])
-            for k in range(1, factor.shape[1]):
-                r += np.multiply(zs[:, k], factor[i, k], out=tmp)
+            r = np.multiply(zs[:, 0], row[0], out=x[0])
+            for k in range(1, len(read)):
+                r += np.multiply(zs[:, k], row[k], out=tmp)
             if shift != 0.0:  # prices carry no shift and skip this pass
                 r += shift
             if top[i] > 1:
@@ -359,18 +376,19 @@ def _mc_form(constant, products, factor, shifts, brackets, clipped: bool, sample
 
 def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
     """The payoff folded by _incoherent_form, sampled by _mc_form at the
-    drivers' joint covariance at t.  A form with no random term (every
-    q_i = 0, so every driver vanishes, or no product left, as when every
-    order is 1) is its constant, priced with a standard error of 0.0 and no
-    draw.
+    drivers' joint covariance at t.  The form reads an order-1 term only
+    through X^(0) = 1, so only terms of order >= 2 draw.  A form with no
+    random term (q_i = 0 in every term of order >= 2, so every driver it
+    reads vanishes, or every order 1, so no product is left) is its
+    constant, priced with a standard error of 0.0 and no draw.
     """
     t, weight, legs, clipped = _payoff_legs(payoff)
     constant, products = _incoherent_form(model, t, weight, legs)
     q_t = [term.sf.q_at(t) for term in model.terms]
-    if not products or not any(q_t):
+    if not any(q for q, term in zip(q_t, model.terms) if term.order > 1):
         return (max(constant, 0.0) if clipped else constant), 0.0
-    factor = _gram_factor(accumulated_gram_matrix(model, t))
-    return _mc_form(constant, products, factor, [0.0] * len(q_t), q_t, clipped, samples, rng)
+    gram = accumulated_gram_matrix(model, t)
+    return _mc_form(constant, products, gram, [0.0] * len(q_t), q_t, clipped, samples, rng)
 
 
 def mc_price(model, payoff, samples: int, seed: int):
@@ -392,11 +410,13 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
     closed form (martingale property), halving the estimator noise relative
     to a plain sample variance.  _mc_form samples X_inf^2 as
     sum_ij c_i c_j X_i^(n_i) X_j^(n_j) at bracket 1, drivers R_i plus a draw
-    of the residual Gram.  A coherent (model, state) is the one-term pair:
-    weight 1, order n, Gram [[1 - Q]].  The weights are scaled_weights and
-    the estimate scaled back by 4^e, so OverflowError is raised only when
-    the variance itself lies beyond the float range.  With every residual
-    variance zero the variance is exactly 0.0, returned with no draw.
+    of the residual Gram.  That form reads every term at X^(n_i), so each
+    sample draws one normal per term.  A coherent (model, state) is the
+    one-term pair: weight 1, order n, Gram [[1 - Q]].  The weights are
+    scaled_weights and the estimate scaled back by 4^e, so OverflowError is
+    raised only when the variance itself lies beyond the float range.  With
+    every residual variance zero the variance is exactly 0.0, returned with
+    no draw.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -410,12 +430,12 @@ def mc_conditional_variance(model, state, samples: int, seed: int):
     if not any(state.residual_gram[i][i] for i in range(len(terms))):
         return 0.0, 0.0
     e, c = scaled_weights(model)
-    x_t = sum(ci * chaos_value(term.order, r, q) for ci, term, r, q in zip(c, terms, state.values, state.brackets))
+    x_t = left_sum(ci * chaos_value(term.order, r, q) for ci, term, r, q in zip(c, terms, state.values, state.brackets))
     products = [
         ((1.0 if i == j else 2.0) * c[i] * c[j], i, ti.order, j, tj.order)
         for i, ti in enumerate(terms)
         for j, tj in enumerate(terms[i:], i)
     ]
-    factor, rng = _gram_factor(state.residual_gram), np.random.default_rng(seed)
-    mean, se = _mc_form(0.0, products, factor, state.values, [1.0] * len(terms), False, samples, rng)
+    gram, rng = state.residual_gram, np.random.default_rng(seed)
+    mean, se = _mc_form(0.0, products, gram, state.values, [1.0] * len(terms), False, samples, rng)
     return math.ldexp(mean - x_t**2, 2 * e), math.ldexp(se, 2 * e)

@@ -13,6 +13,7 @@ import math
 from chaosrates import (
     CoherentModel,
     DiscreteAtoms,
+    ExponentialDensity,
     IncoherentModel,
     IncoherentTerm,
     OptionSpec,
@@ -24,6 +25,7 @@ from chaosrates import (
     expected_positive_part,
     incoherent_bond_price,
     initial_bond_price,
+    mc_conditional_variance,
     mc_price,
     multi_state_at,
     price_bond_call,
@@ -87,6 +89,10 @@ def prices():
     state = multi_state_at(pair, 1.2, [0.1, -0.2])
     out += [incoherent_bond_price(pair, state, T) for T in (2.0, 3.7)]
     out.append(mc_price(pair, OptionSpec(1.2, 3.7, 0.8), 4000, 5))
+    # E_t[X_inf] = 1 + 1e-16 + 1e-16 sums to 1.0 left to right, above 1.0 compensated
+    rates = ((1.0, 0.7), (1e-16, 0.2), (1e-16, 1.3))
+    tiny = IncoherentModel(tuple(IncoherentTerm(c, 1, ExponentialDensity(lam)) for c, lam in rates))
+    out.append(mc_conditional_variance(tiny, multi_state_at(tiny, 1.0, (1.0, 1.0, 1.0)), 4000, 5))
     # a payoff with odd terms takes the general moment sum
     odd = RealPolynomial((0.1, -0.3, -0.2, 0.1, 0.3, 0.1))
     out.append(expected_positive_part(odd).value)

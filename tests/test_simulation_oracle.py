@@ -20,7 +20,6 @@ from chaosrates import (
     incoherent_bond_price,
     incoherent_kernel,
     initial_bond_price,
-    kernel_polynomial,
     mc_conditional_variance,
     mc_price,
     price_bond_call,
@@ -57,6 +56,12 @@ ZERO_RESIDUAL_PAIR = IncoherentModel(
 )
 
 
+def model_of_orders(*orders):
+    """Terms of the given orders on SF and two other exponential rates."""
+    weights, sfs = (0.8, 0.5, 0.35), (SF, ExponentialDensity(0.2), ExponentialDensity(1.3))
+    return IncoherentModel(tuple(IncoherentTerm(c, n, sf) for c, n, sf in zip(weights, orders, sfs)))
+
+
 class NoDraw:
     """A Generator stand-in whose draw fails the test."""
 
@@ -65,14 +70,15 @@ class NoDraw:
 
 
 class DrawCounter:
-    """A Generator stand-in that counts its standard_normal calls."""
+    """A Generator stand-in that records the shape of each standard_normal draw."""
 
     def __init__(self, seed):
-        self.rng, self.calls = np.random.default_rng(seed), 0
+        self.rng, self.shapes = np.random.default_rng(seed), []
 
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.standard_normal(*args, **kwargs)
+        draw = self.rng.standard_normal(*args, **kwargs)
+        self.shapes.append(draw.shape)
+        return draw
 
 
 class TestAdaptiveSimpson:
@@ -253,42 +259,60 @@ class TestChunkedMonteCarlo:
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 20])
-    def test_coherent_call_matches_one_shot_draw(self, n):
-        # n! (N_T - K N_t) summed term by term over one full-size chaos_values
-        # draw; cancellation between the terms grows with n, so the bound is
-        # set by the mean summed term magnitude, not by the price
-        model, strike, seed = CoherentModel(n, SF), 0.55, 21
-        q_t, q_T = SF.q_at(1.0), SF.q_at(2.0)
+    def _coherent_one_shot(self, n, t, coefficient, clipped, seed):
+        """n! sum_k w_k coefficient(k) X_t^(2n-2k) summed term by term over one
+        full-size chaos_values draw: its mean and standard error, and a bound
+        for each.  Cancellation between the terms grows with n, so a sample's
+        rounding is bounded by 1e-13 of its summed term magnitude m, not by
+        the price.  The mean's bound is 1e-13 mean(m); by Cauchy-Schwarz the
+        standard error moves by at most the rms rounding over sqrt(N - 1)."""
+        q_t = SF.q_at(t)
         r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
         xs = chaos_values(2 * n - 2, r, q_t)
         terms = [
-            math.factorial(n) * float(kernel_coefficient(n, k)) * ((1.0 - q_T**k) - strike * (1.0 - q_t**k)) * xs[2 * n - 2 * k]
+            math.factorial(n) * float(kernel_coefficient(n, k)) * coefficient(k) * xs[2 * n - 2 * k]
             for k in range(1, n + 1)
         ]
-        want = self._mean_and_error(np.maximum(sum(terms), 0.0))
-        tol = 1e-13 * float(np.mean(sum(np.abs(x) for x in terms)))
-        got = mc_price(model, OptionSpec(1.0, 2.0, strike), self.SAMPLES, seed)
+        values = np.maximum(sum(terms), 0.0) if clipped else sum(terms)
+        m = sum(np.abs(x) for x in terms)
+        tols = 1e-13 * float(np.mean(m)), 1e-13 * math.sqrt(float(np.mean(m * m)) / (self.SAMPLES - 1))
+        return self._mean_and_error(values), tols
+
+    @staticmethod
+    def _assert_within(got, want, tols):
+        assert got[0] == pytest.approx(want[0], rel=0.0, abs=tols[0])
+        assert got[1] == pytest.approx(want[1], rel=0.0, abs=tols[1])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 20])
+    def test_coherent_call_matches_one_shot_draw(self, n):
+        # n! (N_T - K N_t) in the bond-numerator coefficients N
+        strike, seed = 0.55, 21
+        q_t, q_T = SF.q_at(1.0), SF.q_at(2.0)
+        want, tols = self._coherent_one_shot(n, 1.0, lambda k: (1.0 - q_T**k) - strike * (1.0 - q_t**k), True, seed)
         assert want[0] > 0.0
-        assert got[0] == pytest.approx(want[0], rel=0.0, abs=tol)
-        assert got[1] == pytest.approx(want[1], rel=0.0, abs=tol)
+        self._assert_within(mc_price(CoherentModel(n, SF), OptionSpec(1.0, 2.0, strike), self.SAMPLES, seed), want, tols)
 
-    def test_coherent_swaption_matches_one_shot_draw(self):
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    def test_coherent_swaption_matches_one_shot_draw(self, n):
+        # n! (N_t - N_TN - K sum_i N_Ti), three payment legs
         spec, seed = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05), 22
-        q_t = SF.q_at(1.0)
-        r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
-        pi = kernel_polynomial(2, q_t, q_t)(r)
-        numers = [kernel_polynomial(2, q_t, SF.q_at(T))(r) for T in spec.payment_dates]
-        want = self._mean_and_error(2.0 * np.maximum(pi - numers[-1] - 0.05 * sum(numers), 0.0))
-        self._assert_close(mc_price(ORDER_TWO, spec, self.SAMPLES, seed), want)
+        q_t, q_N = SF.q_at(1.0), SF.q_at(4.0)
+        qs = [SF.q_at(T) for T in spec.payment_dates]
 
-    def test_coherent_bond_matches_one_shot_draw(self):
+        def coefficient(k):
+            return (1.0 - q_t**k) - (1.0 - q_N**k) - spec.strike * sum(1.0 - q**k for q in qs)
+
+        want, tols = self._coherent_one_shot(n, 1.0, coefficient, True, seed)
+        assert want[0] > 0.0
+        self._assert_within(mc_price(CoherentModel(n, SF), spec, self.SAMPLES, seed), want, tols)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    def test_coherent_bond_matches_one_shot_draw(self, n):
         # the one payoff left unclipped: n! pi_T at the T-bracket
-        model, T, seed = CoherentModel(3, SF), 2.0, 25
+        T, seed = 2.0, 25
         q_T = SF.q_at(T)
-        r = math.sqrt(q_T) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
-        want = self._mean_and_error(6.0 * kernel_polynomial(3, q_T, q_T)(r))
-        self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
+        want, tols = self._coherent_one_shot(n, T, lambda k: 1.0 - q_T**k, False, seed)
+        self._assert_within(mc_price(CoherentModel(n, SF), BondSpec(T), self.SAMPLES, seed), want, tols)
 
     @pytest.mark.parametrize(
         "model, payoff",
@@ -301,10 +325,20 @@ class TestChunkedMonteCarlo:
             # every term's q_t = 0, so every driver vanishes
             (ZERO_BRACKET_PAIR, OptionSpec(1.0, 2.5, 0.4)),
             (ZERO_BRACKET_PAIR, SwaptionSpec(1.0, (2.0, 3.0), 0.05)),
+            # the order-2 term's driver vanishes, and the order-1 term's is never read
+            (
+                IncoherentModel(
+                    (
+                        IncoherentTerm(0.8, 1, DiscreteAtoms((0.5, 2.0), (0.5, 0.5))),
+                        IncoherentTerm(0.5, 2, DiscreteAtoms((1.5, 2.0), (0.6, 0.4))),
+                    )
+                ),
+                OptionSpec(1.0, 2.5, 0.4),
+            ),
             # order-1 terms leave no product: pi_t is deterministic
             (IncoherentModel((IncoherentTerm(0.8, 1, SF), IncoherentTerm(-0.3, 1, ExponentialDensity(0.2)))), OptionSpec(1.0, 2.0, 0.55)),
         ],
-        ids=["n1-call", "n1-swaption", "n1-bond", "zero-bracket-call", "incoherent-zero-bracket-call", "incoherent-zero-bracket-swaption", "incoherent-order-one-call"],
+        ids=["n1-call", "n1-swaption", "n1-bond", "zero-bracket-call", "incoherent-zero-bracket-call", "incoherent-zero-bracket-swaption", "incoherent-unread-driver-call", "incoherent-order-one-call"],
     )
     def test_payoff_without_random_term_draws_nothing(self, monkeypatch, model, payoff):
         # the folded form is its X^(0) coefficient: the payoff at time-0
@@ -319,7 +353,7 @@ class TestChunkedMonteCarlo:
         counter = DrawCounter(1)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
         est, se = mc_price(model, payoff, self.SAMPLES, 1)
-        assert counter.calls == 0
+        assert counter.shapes == []
         assert se == 0.0
         assert est == pytest.approx(max(value, 0.0) if clipped else value, rel=1e-14)
 
@@ -336,11 +370,26 @@ class TestChunkedMonteCarlo:
         assert kernel(model, state) == 0.0
         assert mc_conditional_variance(model, state, self.SAMPLES, 1) == (0.0, 0.0)
 
-    def test_coherent_price_draws_once_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "model, target, drivers",
+        [
+            (ORDER_TWO, OptionSpec(1.0, 2.0, 0.55), ()),
+            # an order-1 term enters a payoff only through X^(0) = 1
+            (model_of_orders(1, 3), OptionSpec(1.0, 3.0, 0.3), (1,)),
+            (model_of_orders(2, 2), OptionSpec(1.0, 3.0, 0.3), (2,)),
+            # the variance reads X^(n_i) of every term
+            (model_of_orders(1, 3), multi_state_at(model_of_orders(1, 3), 0.8, (0.3, -0.2)), (2,)),
+        ],
+        ids=["coherent-call", "incoherent-call-one-plus-n", "incoherent-call-equal-order", "incoherent-variance-one-plus-n"],
+    )
+    def test_draws_one_normal_per_read_driver_per_sample(self, monkeypatch, model, target, drivers):
         counter = DrawCounter(1)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
-        mc_price(ORDER_TWO, OptionSpec(1.0, 2.0, 0.55), self.SAMPLES, 1)
-        assert counter.calls == 3
+        if isinstance(target, OptionSpec):
+            mc_price(model, target, self.SAMPLES, 1)
+        else:
+            mc_conditional_variance(model, target, self.SAMPLES, 1)
+        assert counter.shapes == [(MC_CHUNK, *drivers), (MC_CHUNK, *drivers), (17, *drivers)]
 
     def _incoherent_one_shot(self, model, payoff, seed):
         """The payoff per unit of pi_0 from one full-size draw, each bond
@@ -348,12 +397,15 @@ class TestChunkedMonteCarlo:
 
             E_t[pi_T] = sum_ij c_i c_j sum_k g_T^k / k! E_t[X_T^(n_i-k) X_T^(n_j-k)],
 
-        and pi_t the same at T = t, where the projection window h vanishes."""
+        and pi_t the same at T = t, where the projection window h vanishes.
+        An order-1 term enters only at k = 1, through X^(0) = 1, so the draw
+        holds the drivers of the terms of order >= 2 alone."""
         terms = model.terms
         t = payoff.option_maturity
-        vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+        read = [i for i, term in enumerate(terms) if term.order > 1]
+        vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t)[np.ix_(read, read)])
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        r = np.random.default_rng(seed).standard_normal((self.SAMPLES, len(terms))) @ factor.T
+        r = np.random.default_rng(seed).standard_normal((self.SAMPLES, len(read))) @ factor.T
         g_t = residual_gram_matrix(model, t)
 
         def numerator(xs, g_now, T):
@@ -366,7 +418,9 @@ class TestChunkedMonteCarlo:
                 for k in range(1, min(ti.order, tj.order) + 1)
             )
 
-        xs = [chaos_values(term.order, r[:, i], term.sf.q_at(t)) for i, term in enumerate(terms)]
+        xs = [[1.0] for _ in terms]
+        for k, i in enumerate(read):
+            xs[i] = chaos_values(terms[i].order, r[:, k], terms[i].sf.q_at(t))
         zero = [chaos_values(term.order, 0.0, 0.0) for term in terms]
         pi_0 = numerator(zero, residual_gram_matrix(model, 0.0), 0.0)
         pi_t = numerator(xs, g_t, t)
@@ -390,8 +444,7 @@ class TestChunkedMonteCarlo:
         ids=["call-equal-order", "call-one-plus-n", "swaption-equal-order", "call-orders-2-3", "call-orders-1-2-3"],
     )
     def test_incoherent_payoff_matches_one_shot_draw(self, orders, payoff):
-        weights, sfs = (0.8, 0.5, 0.35), (SF, ExponentialDensity(0.2), ExponentialDensity(1.3))
-        model = IncoherentModel(tuple(IncoherentTerm(c, n, sf) for c, n, sf in zip(weights, orders, sfs)))
+        model = model_of_orders(*orders)
         want = self._incoherent_one_shot(model, payoff, 26)
         assert want[0] > 0.0
         self._assert_close(mc_price(model, payoff, self.SAMPLES, 26), want)
