@@ -58,12 +58,18 @@ def exact_squares(c, q):
 
 
 def assert_within_rounding(got, want, magnitudes, ulps):
-    """|got[i] - want[i]| <= ulps * eps * magnitudes[i] for every coefficient,
-    got padded with the zeros RealPolynomial strips from its top."""
+    """|got[i] - want[i]| <= ulps * (eps * magnitudes[i] + tiny) for every
+    coefficient, got padded with the zeros RealPolynomial strips from its top.
+
+    tiny = math.ulp(0.0) = 2^-1074 is the spacing of the subnormals: a rounding
+    that underflows errs by up to half of it, however small the exact value,
+    so a relative bound alone fails on a subnormal coefficient (a strike of
+    2.2e-309 makes the call's c_0 = -K h one).  It adds nothing above 1e-300."""
     assert len(got) <= len(want)
     got = tuple(got) + (0.0,) * (len(want) - len(got))
+    eps, tiny = Fraction(sys.float_info.epsilon), Fraction(math.ulp(0.0))
     for g, w, size in zip(got, want, magnitudes):
-        assert abs(Fraction(g) - w) <= ulps * Fraction(sys.float_info.epsilon) * size, (g, float(w), float(size))
+        assert abs(Fraction(g) - w) <= ulps * (eps * size + tiny), (g, float(w), float(size))
 
 
 def banded_projection(h, a, b, xi, xj):

@@ -381,6 +381,7 @@ class TestPayoffBuildersMatchExactSquares:
         return exact_squares([cm * Fraction(q_t) ** m for m, cm in enumerate(c)], 1)
 
     @given(st.integers(1, 16), st.floats(0.01, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+    @example(n=1, q_t=0.75, frac=1.0, strike=2.225073858507203e-309)  # c_0 = -K h underflows
     @settings(max_examples=100, deadline=None)
     def test_call_payoff_and_delta(self, n, q_t, frac, strike):
         q_T = q_t + frac * (1.0 - q_t)
