@@ -119,10 +119,24 @@ def iter_chaos_values(m: int, r, q):
 def chaos_values(m: int, r, q) -> list:
     """[X^(0), ..., X^(m)] at driver value r with bracket q (empty for m < 0).
 
-    The chaos evaluator: O(m) multiplies by the Hermite recurrence of
-    iter_chaos_values, broadcasting over arrays of r and q.
+    The chaos evaluator: O(m) multiplies by the Hermite recurrence, with
+    exactly the operations of iter_chaos_values in one loop, broadcasting
+    over arrays of r and q.
     """
-    return list(iter_chaos_values(m, r, q))
+    if m < 0:
+        return []
+    prev = r * 0.0 + q * 0.0 + 1.0
+    if m == 0:
+        return [prev]
+    cur = prev * r
+    out = [prev, cur]
+    for k in range(1, m):
+        nxt = r * cur  # a fresh array: the listed orders are never written
+        nxt -= q * prev
+        nxt /= k + 1
+        out.append(nxt)
+        prev, cur = cur, nxt
+    return out
 
 
 def chaos_value(m: int, r, q):
@@ -159,7 +173,9 @@ def product_weights(n: int, g, g_T) -> list:
     """[(g^N - h^N) / N! for N = 1..n <= MAX_ORDER], h = g - g_T: the product-formula weights.
 
     g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum of nonnegative
-    terms that cancels nothing; g_T = g gives g^N / N!.
+    terms that cancels nothing; g_T = g gives g^N / N!.  The reference for
+    the sums that walk this recurrence in place (pair_sum and the option
+    payoffs of polynomial_pricer), pinned to it bit for bit by the tests.
     """
     h = g - g_T
     d = 0.0
@@ -205,13 +221,19 @@ def pair_sum(a: int, b: int, xi, xj, g, g_T):
     xi = X^(0..a-1)(phi_i) and xj = X^(0..b-1)(phi_j) at the state, with
     g = int_t^inf phi_i phi_j and g_T = int_T^inf phi_i phi_j.  g_T = g gives
     the kernel term, weights g^N / N!; g_T read at a bond maturity gives the
-    term of E_t[pi_T], with the weights of product_weights, so a far
-    maturity cancels nothing.  Chaos values and g, g_T may be arrays that
+    term of E_t[pi_T], so a far maturity cancels nothing.  Each weight is
+    made by the product_weights recurrence as it is used, with the same
+    roundings and no list.  Chaos values and g, g_T may be arrays that
     broadcast together; each cell then takes the rounding of the scalar sum.
     """
+    h = g - g_T
+    d = 0.0
+    h_power = 1.0
     acc = 0.0
-    for N, w in enumerate(product_weights(min(a, b), g, g_T), 1):
-        acc += w * xi[a - N] * xj[b - N]
+    for N in range(1, min(a, b) + 1):
+        d = g * d + h_power * g_T
+        h_power *= h
+        acc += d / _FACTORIALS[N] * xi[a - N] * xj[b - N]
     return acc
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import MAX_ORDER, CoherentModel, product_weights, squares_polynomial
+from .coherent_model import _FACTORIALS, MAX_ORDER, CoherentModel, product_weights, squares_polynomial
 from .special_functions import RealPolynomial, gaussian_partial_moments, left_sum, normal_cdf, normal_pdf
 from .structure_functions import check_finite
 
@@ -412,10 +412,26 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
 
 
 def _call_squares(n: int, strike: float, q_t: float, q_T: float) -> list:
-    # c_0 .. c_(n-1) of the call payoff pi_t (P(t, T) - K)
+    """c_0 .. c_(n-1) of the call payoff pi_t (P(t, T) - K).
+
+    The bond weights product_weights(n, 1 - q_t, 1 - q_T) and the drift
+    weights product_weights(n, h, h) are walked together as they are used;
+    with g_T = g the drift recurrence is d_N = h d_(N-1) from d_0 = 1.
+    """
+    g, g_T = 1.0 - q_t, 1.0 - q_T
+    h_bond = g - g_T
     h = q_T - q_t
-    bond, drift = product_weights(n, 1.0 - q_t, 1.0 - q_T), product_weights(n, h, h)
-    return [(1.0 - strike) * a - strike * b for a, b in zip(bond[::-1], drift[::-1])]
+    keep = 1.0 - strike
+    bond = 0.0
+    drift = h_power = 1.0
+    c = [0.0] * n
+    for N in range(1, n + 1):
+        bond = g * bond + h_power * g_T
+        h_power *= h_bond
+        drift *= h
+        factorial = _FACTORIALS[N]
+        c[n - N] = keep * (bond / factorial) - strike * (drift / factorial)
+    return c
 
 
 def _scaled(c: list, q_t: float) -> list:
@@ -446,11 +462,14 @@ def _sign_certificate(c: list):
 def _price(n: int, c: list, q_t: float) -> float:
     """n! E[(p(Z))+] of the payoff with squared-form coefficients c."""
     intervals = _sign_certificate(c)
-    if intervals is None:
-        intervals = _exercise_region(_in_z(c, q_t))[1]
-    if not intervals:
+    if intervals == ():
         return 0.0
-    return math.factorial(n) * max(_squares_moment_sum(_scaled(c, q_t), intervals), 0.0)
+    a = _scaled(c, q_t)  # the payoff in z and the moment sum read the same list
+    if intervals is None:
+        intervals = _exercise_region(squares_polynomial(a, 1.0))[1]
+        if not intervals:
+            return 0.0
+    return math.factorial(n) * max(_squares_moment_sum(a, intervals), 0.0)
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
@@ -504,9 +523,23 @@ def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> Real
 
 
 def _swaption_squares(n: int, strike: float, q_t: float, q_pay: list) -> list:
-    # c_0 .. c_(n-1) of the swaption payoff pi_t (1 - P(t, T_N) - K sum_i P(t, T_i))
+    """c_0 .. c_(n-1) of the swaption payoff pi_t (1 - P(t, T_N) - K sum_i P(t, T_i)).
+
+    Each date's product_weights(n, 1 - q_t, 1 - q_i) is walked in place and
+    folded, in date order, into one fixed-leg accumulator per N.
+    """
+    g = 1.0 - q_t
+    fixed = [0.0] * n
+    for q in q_pay:
+        g_T = 1.0 - q
+        h_date = g - g_T
+        d = 0.0
+        h_power = 1.0
+        for N in range(1, n + 1):
+            d = g * d + h_power * g_T
+            h_power *= h_date
+            fixed[N - 1] += d / _FACTORIALS[N]
     h = q_pay[-1] - q_t
-    fixed = [left_sum(w) for w in zip(*[product_weights(n, 1.0 - q_t, 1.0 - q) for q in q_pay])]
     return [a - strike * b for a, b in zip(product_weights(n, h, h)[::-1], fixed[::-1])]
 
 

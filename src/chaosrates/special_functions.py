@@ -146,18 +146,22 @@ def hermite_product_expansion(n: int, m: int) -> list[tuple[int, int]]:
     ]
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
+
+
 def normal_pdf(x: float) -> float:
     """Standard normal density; 0.0 at infinite arguments."""
     if math.isinf(x):
         return 0.0
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function via erfc (double precision)."""
     if math.isinf(x):
         return 0.0 if x < 0 else 1.0
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 def gaussian_partial_moments(k_max: int, a: float, b: float) -> list[float]:

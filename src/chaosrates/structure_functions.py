@@ -14,6 +14,12 @@ unit-normalised so that Q_inf = 1.  Three families are supported:
 Density-family constructors accept unnormalised inputs and rescale to unit
 mass, recording the applied factor in ``normalisation_scale``.  The JSON
 descriptor path for atoms is stricter: weights must sum to 1 within 1e-9.
+
+The piecewise and atoms families also build, from their own inputs, the
+table ``cumulative`` of Q at each break or atom, the same left fold that a
+scan of the breaks or atoms would make, so q_at is one bisection and at most
+one multiply-add.  A table of floats is an array of doubles, 8 bytes an
+entry: a model holds one per structure function.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +42,7 @@ class StructureFunction(ABC):
 
     @abstractmethod
     def q_at(self, t):
-        """Cumulative Q_t = int_0^t phi**2; requires t >= 0."""
+        """Cumulative Q_t = int_0^t phi**2; requires t >= 0, and a NaN t is refused."""
 
     @abstractmethod
     def squared_density(self, t):
@@ -47,7 +54,8 @@ class StructureFunction(ABC):
 
 
 def _check_time(t) -> None:
-    if t < 0:
+    # written to fail on NaN too, which a bisect would place past every break
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
 
 
@@ -89,11 +97,14 @@ class PiecewiseConstantDensity(StructureFunction):
 
     The supplied values are rescaled so the total mass is 1; the factor is
     recorded in ``normalisation_scale``.  Support ends at the last break.
+    ``cumulative[k]`` is Q at the start of segment k, the masses of the
+    segments before it folded left from 0.0, held unboxed in an array.
     """
 
     breaks: tuple
     values: tuple
     normalisation_scale: float = field(init=False, default=1.0)
+    cumulative: array = field(init=False, default=(), repr=False, compare=False)
     family = "piecewise"
 
     def __post_init__(self) -> None:
@@ -113,22 +124,26 @@ class PiecewiseConstantDensity(StructureFunction):
         if mass == math.inf:  # finite nonnegative terms overflow only to +inf
             raise ValueError("density total mass overflows the float range")
         # divide by the mass: its reciprocal overflows for a subnormal mass
+        values = tuple(v / mass for v in values)
+        cumulative = [0.0]
+        for v, w in zip(values, lengths):
+            cumulative.append(cumulative[-1] + v * w)
         object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "values", tuple(v / mass for v in values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "normalisation_scale", 1.0 / mass)
+        object.__setattr__(self, "cumulative", array("d", cumulative))
 
     def q_at(self, t):
+        """Q at the start of t's segment plus its value times the time since.
+
+        The partial term is +0.0 at a break, where the sum is the table's.
+        """
         _check_time(t)
-        if t >= self.breaks[-1]:
+        breaks = self.breaks
+        if t >= breaks[-1]:
             return 1.0
-        acc = 0.0
-        lo = 0.0
-        for b, v in zip(self.breaks, self.values):
-            if t <= lo:
-                break
-            acc += v * (min(t, b) - lo)
-            lo = b
-        return min(acc, 1.0)
+        k = bisect.bisect_right(breaks, t)
+        return min(self.cumulative[k] + self.values[k] * (t - (breaks[k - 1] if k else 0.0)), 1.0)
 
     def squared_density(self, t):
         if isinstance(t, float):
@@ -148,11 +163,15 @@ class DiscreteAtoms(StructureFunction):
     Q is the right-continuous step function sum_{times[i] <= t} weights[i].
     Weights are rescaled to unit sum (factor in ``normalisation_scale``);
     exact number types such as Fraction survive the rescaling.
+    ``cumulative[k]`` is Q after the first k + 1 atoms: their weights
+    folded left from 0, then clamped to 1, which the rescaled weights can
+    sum past by rounding.
     """
 
     times: tuple
     weights: tuple
     normalisation_scale: float = field(init=False, default=1.0)
+    cumulative: array | tuple = field(init=False, default=(), repr=False, compare=False)
     family = "atoms"
 
     def __post_init__(self) -> None:
@@ -172,18 +191,27 @@ class DiscreteAtoms(StructureFunction):
             raise ValueError("the sum of the atom weights overflows the float range")
         if total != 1:
             weights = tuple(w / total for w in weights)
+        partial = 0
+        cumulative = []
+        for w in weights:
+            partial += w
+            cumulative.append(min(partial, 1.0))
+        # exact types such as Fraction stay exact in a tuple
+        exact = any(type(q) is not float for q in cumulative)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "normalisation_scale", 1 / total)
+        object.__setattr__(self, "cumulative", tuple(cumulative) if exact else array("d", cumulative))
 
     @property
     def is_density(self) -> bool:
         return False
 
     def q_at(self, t):
+        """The table's Q after the atoms at times <= t, and 0 before the first."""
         _check_time(t)
-        # the rescaled weights can sum past 1 by rounding
-        return min(left_sum(w for T, w in zip(self.times, self.weights) if T <= t), 1.0)
+        k = bisect.bisect_right(self.times, t)
+        return self.cumulative[k - 1] if k else 0
 
     def squared_density(self, t):
         # distributional density; between atoms (and, by convention, at them)

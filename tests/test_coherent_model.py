@@ -27,6 +27,7 @@ from chaosrates import (
 from chaosrates.coherent_model import (
     _chaos_terms,
     from_descriptor,
+    iter_chaos_values,
     pair_sum,
     product_weights,
     squares_polynomial,
@@ -241,6 +242,46 @@ def test_pair_sum_broadcasts_cell_by_cell(n, r, q, q_T):
         g_cell = float(g[j])
         assert kernels[i, j] == pair_sum(n, n, cell, cell, g_cell, g_cell)
         assert numers[i, j] == pair_sum(n, n, cell, cell, g_cell, 1.0 - q_T)
+
+
+@pytest.mark.parametrize("m", range(-1, 21))
+def test_chaos_values_is_the_generator_list_bit_for_bit(m):
+    # the one-loop list takes the recurrence's operations in the same order
+    rng = np.random.default_rng([m + 1, 3])
+    for r, q in [(float(rng.normal()), float(rng.uniform())), (rng.normal(size=4), rng.uniform(size=4))]:
+        got, want = chaos_values(m, r, q), list(iter_chaos_values(m, r, q))
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def pair_sum_by_list(a, b, xi, xj, g, g_T):
+    """pair_sum as it read before its walk: over the product_weights list."""
+    acc = 0.0
+    for N, w in enumerate(product_weights(min(a, b), g, g_T), 1):
+        acc += w * xi[a - N] * xj[b - N]
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_pair_sum_walks_the_product_weights_bit_for_bit(n):
+    """The in-place walk of the weights sums exactly as the list did: on
+    scalars, and cell by cell on arrays of R, Q, g and g_T that broadcast."""
+    rng = np.random.default_rng([n, 1])
+    for trial in range(20):
+        a, b = ((n, n), (n, n - 1), tuple(rng.integers(0, n + 1, 2)))[trial % 3]
+        q_i, q_j, g = rng.uniform(0.0, 1.0, 3)
+        # the kernel (g_T = g), a last maturity (g_T = 0) and any maturity between
+        g_T = (g, 0.0, g * rng.uniform())[trial % 3]
+        xi = chaos_values(a - 1, float(rng.normal()), q_i)
+        xj = chaos_values(b - 1, float(rng.normal()), q_j)
+        got, want = pair_sum(a, b, xi, xj, g, g_T), pair_sum_by_list(a, b, xi, xj, g, g_T)
+        assert type(got) is type(want) and repr(got) == repr(want)
+        rs, qs = rng.normal(size=(2, 5)), rng.uniform(0.0, 1.0, 5)
+        gs = rng.uniform(0.0, 1.0, 5)
+        xi, xj = chaos_values(a - 1, rs, qs), chaos_values(b - 1, rs[::-1], qs)
+        for g_Ts in (gs, gs * rng.uniform(size=5), 0.0):
+            got = np.asarray(pair_sum(a, b, xi, xj, gs, g_Ts))
+            assert got.tobytes() == np.asarray(pair_sum_by_list(a, b, xi, xj, gs, g_Ts)).tobytes()
 
 
 def test_overflowing_kernel_raises_instead_of_nan():

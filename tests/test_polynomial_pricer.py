@@ -29,14 +29,14 @@ from chaosrates import (
     swaption_payoff_polynomial,
 )
 from chaosrates import polynomial_pricer as pp
-from chaosrates.coherent_model import _squared_terms, squares_polynomial
+from chaosrates.coherent_model import _squared_terms, product_weights, squares_polynomial
 from chaosrates.polynomial_pricer import (
     _ROUNDING_FLOOR,
     _newton_polish,
     _real_roots,
     _root_finding_part,
 )
-from chaosrates.special_functions import gaussian_partial_moments, hermite
+from chaosrates.special_functions import gaussian_partial_moments, hermite, left_sum
 from closed_form_cases import (
     biquadratic_positive_part,
     call_biquadratic_coefficients,
@@ -436,6 +436,40 @@ class TestPayoffBuildersMatchExactSquares:
         _, magnitudes = self._in_z([a + b for a, b in zip(floating, fixed)], q_t)
         payoff = swaption_payoff_polynomial(model, spec).coeffs
         assert_within_rounding(payoff, want, magnitudes, 8 * n + 8)
+
+
+def call_squares_by_lists(n, strike, q_t, q_T):
+    """_call_squares as it read before its walk: over two product_weights lists."""
+    h = q_T - q_t
+    bond, drift = product_weights(n, 1.0 - q_t, 1.0 - q_T), product_weights(n, h, h)
+    return [(1.0 - strike) * a - strike * b for a, b in zip(bond[::-1], drift[::-1])]
+
+
+def swaption_squares_by_lists(n, strike, q_t, q_pay):
+    """_swaption_squares as it read before its walk: one product_weights list per date."""
+    h = q_pay[-1] - q_t
+    fixed = [left_sum(w) for w in zip(*[product_weights(n, 1.0 - q_t, 1.0 - q) for q in q_pay])]
+    return [a - strike * b for a, b in zip(product_weights(n, h, h)[::-1], fixed[::-1])]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_payoff_squares_walk_the_product_weights_bit_for_bit(n):
+    """The call and swaption c_m, their weights walked in place, are the
+    list forms' bit for bit: for random brackets and strikes, for brackets
+    at 0, at 1 and equal, and for the exact brackets of Fraction atoms."""
+    rng = np.random.default_rng([n, 2])
+    cases = [(0.0, 0.4, 0.9), (0.3, 0.3, 0.7), (0.3, 1.0, 0.0), (Fraction(1, 3), Fraction(3, 4), 0.8)]
+    for _ in range(25):
+        q_t = float(rng.uniform())
+        cases.append((q_t, q_t + float(rng.uniform()) * (1.0 - q_t), float(rng.uniform(0.0, 1.5))))
+    for q_t, q_T, strike in cases:
+        got, want = pp._call_squares(n, strike, q_t, q_T), call_squares_by_lists(n, strike, q_t, q_T)
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+        # dates whose brackets climb from q_t to q_T, repeats allowed
+        q_pay = [q_t + (q_T - q_t) * f for f in sorted(rng.uniform(size=int(rng.integers(1, 21))))] + [q_T]
+        strike /= 5.0
+        got, want = pp._swaption_squares(n, strike, q_t, q_pay), swaption_squares_by_lists(n, strike, q_t, q_pay)
+        assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 def swaption_model(q_t, q_pay):

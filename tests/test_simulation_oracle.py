@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from chaosrates import (
     simulate_chaos_sde,
 )
 from chaosrates.coherent_model import chaos_values, kernel_coefficient
+from chaosrates.special_functions import left_sum
 from chaosrates.incoherent_model import (
     accumulated_gram_matrix,
     multi_state_at,
@@ -259,24 +262,83 @@ class TestChunkedMonteCarlo:
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
-    def _coherent_one_shot(self, n, t, coefficient, clipped, seed):
+    def _coherent_one_shot(self, n, spec, coefficient, seed):
         """n! sum_k w_k coefficient(k) X_t^(2n-2k) summed term by term over one
         full-size chaos_values draw: its mean and standard error, and a bound
-        for each.  Cancellation between the terms grows with n, so a sample's
-        rounding is bounded by 1e-13 of its summed term magnitude m, not by
-        the price.  The mean's bound is 1e-13 mean(m); by Cauchy-Schwarz the
-        standard error moves by at most the rms rounding over sqrt(N - 1)."""
-        q_t = SF.q_at(t)
-        r = math.sqrt(q_t) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
-        xs = chaos_values(2 * n - 2, r, q_t)
-        terms = [
-            math.factorial(n) * float(kernel_coefficient(n, k)) * coefficient(k) * xs[2 * n - 2 * k]
-            for k in range(1, n + 1)
-        ]
-        values = np.maximum(sum(terms), 0.0) if clipped else sum(terms)
-        m = sum(np.abs(x) for x in terms)
-        tols = 1e-13 * float(np.mean(m)), 1e-13 * math.sqrt(float(np.mean(m * m)) / (self.SAMPLES - 1))
-        return self._mean_and_error(values), tols
+        on how far mc_price's may lie from each.
+
+        coefficient(k) is exact, in Fractions of the float brackets, and each
+        term's factor n! w_k coefficient(k) is rounded once.  The bound is a
+        running bound on the rounding of both sums, sample by sample, first
+        order in the unit roundoff u:
+
+        * here, the forward Hermite recurrence: r = sqrt(q_t) z moves by 2u |r|,
+          times dS/dr = sum_i c_i X^(i-1); step i rounds by 3u (|r X^(i-1)| +
+          q_t |X^(i-2)|) / i, times the step's adjoint lambda_i = c_i +
+          r lambda_(i+1) / (i + 1) - q_t lambda_(i+2) / (i + 2), the exact
+          sensitivity of the sum to X^(i); each term rounds twice and each
+          partial sum once;
+        * in mc_price, the Clenshaw recurrence in y = Z^2: each a_j from the
+          payoff's l levels (q, b), total - sum b q^k within u ((l - 1) L +
+          (l + 2) sum |b| q^k + |D|), L = sum |b|, then 7u of a_j; step j rounds
+          by u (y |b_(j+1)| + 4 |alpha_j b_(j+1)| + 3 beta_j |b_(j+2)| + 2 |a_j|);
+          both times |He_2j(Z)|, the exact sensitivity of the sum to b_j.
+
+        The positive part moves by no more than its argument.  The mean's
+        bound is the mean of the sample bound plus 96u mean|value| for the two
+        pairwise means and the chunk merges; by Cauchy-Schwarz the standard
+        error moves by at most rms(bound) / sqrt(N - 1), plus 96u of itself.
+        """
+        u = sys.float_info.epsilon / 2
+        t, weight, legs, clipped = _payoff_legs(spec)
+        levels = [(SF.q_at(t), weight)] + [(SF.q_at(T), b) for T, b in legs]
+        q_t, top = levels[0][0], 2 * n - 2
+        z = np.random.default_rng(seed).standard_normal(self.SAMPLES)
+        r = math.sqrt(q_t) * z
+        xs = chaos_values(top, r, q_t)
+        # c[i] multiplies X^(i): only the even orders i = 2n - 2k carry a term
+        c = [0.0] * (top + 1)
+        for k in range(1, n + 1):
+            c[top + 2 - 2 * k] = float(math.factorial(n) * kernel_coefficient(n, k) * coefficient(k))
+        terms = [c[i] * xs[i] for i in range(top, -1, -2)]
+        total = sum(terms)
+        values = np.maximum(total, 0.0) if clipped else total
+
+        bound = 2 * u * np.abs(r * sum(c[i] * xs[i - 1] for i in range(1, top + 1)))
+        later = after = 0.0  # lambda_(i+1), lambda_(i+2)
+        for i in range(top, 1, -1):
+            lam = c[i] + r * later / (i + 1) - q_t * after / (i + 2)
+            bound += 3 * u * (np.abs(r * xs[i - 1]) + q_t * np.abs(xs[i - 2])) / i * np.abs(lam)
+            later, after = lam, later
+        partial = 0.0
+        for term in terms:
+            partial = partial + term
+            bound += 2 * u * np.abs(term) + u * np.abs(partial)
+
+        y = z * z
+        weight_sum = left_sum(abs(b) for _, b in levels)
+        b_next = b_after = 0.0  # b_(j+1), b_(j+2)
+        for j in range(n - 1, -1, -1):
+            k = n - j
+            scale = float(math.factorial(n) * kernel_coefficient(n, k)) * q_t**j / math.factorial(2 * j)
+            a_j = c[2 * j] * q_t**j / math.factorial(2 * j)
+            drift = left_sum(abs(b) * q**k for q, b in levels)
+            coefficient_error = u * (
+                abs(scale) * ((len(levels) - 1) * weight_sum + (len(levels) + 2) * drift + abs(float(coefficient(k))))
+                + 7 * abs(a_j)
+            )
+            alpha, beta = y - (4 * j + 1), 2 * (j + 1) * (2 * j + 1)
+            step_error = u * (y * np.abs(b_next) + 4 * np.abs(alpha * b_next) + 3 * beta * np.abs(b_after) + 2 * abs(a_j))
+            hermite = np.abs(xs[2 * j]) * (math.factorial(2 * j) / q_t**j)  # |He_2j(Z)|
+            bound += (coefficient_error + step_error) * hermite
+            b_next, b_after = a_j + alpha * b_next - beta * b_after, b_next
+
+        mean, error = self._mean_and_error(values)
+        tols = (
+            float(np.mean(bound)) + 96 * u * float(np.mean(np.abs(values))),
+            math.sqrt(float(np.mean(bound * bound)) / (self.SAMPLES - 1)) + 96 * u * error,
+        )
+        return (mean, error), tols
 
     @staticmethod
     def _assert_within(got, want, tols):
@@ -286,33 +348,33 @@ class TestChunkedMonteCarlo:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 20])
     def test_coherent_call_matches_one_shot_draw(self, n):
         # n! (N_T - K N_t) in the bond-numerator coefficients N
-        strike, seed = 0.55, 21
-        q_t, q_T = SF.q_at(1.0), SF.q_at(2.0)
-        want, tols = self._coherent_one_shot(n, 1.0, lambda k: (1.0 - q_T**k) - strike * (1.0 - q_t**k), True, seed)
+        spec, seed = OptionSpec(1.0, 2.0, 0.55), 21
+        q_t, q_T, strike = Fraction(SF.q_at(1.0)), Fraction(SF.q_at(2.0)), Fraction(spec.strike)
+        want, tols = self._coherent_one_shot(n, spec, lambda k: (1 - q_T**k) - strike * (1 - q_t**k), seed)
         assert want[0] > 0.0
-        self._assert_within(mc_price(CoherentModel(n, SF), OptionSpec(1.0, 2.0, strike), self.SAMPLES, seed), want, tols)
+        self._assert_within(mc_price(CoherentModel(n, SF), spec, self.SAMPLES, seed), want, tols)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20])
     def test_coherent_swaption_matches_one_shot_draw(self, n):
         # n! (N_t - N_TN - K sum_i N_Ti), three payment legs
         spec, seed = SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05), 22
-        q_t, q_N = SF.q_at(1.0), SF.q_at(4.0)
-        qs = [SF.q_at(T) for T in spec.payment_dates]
+        q_t, q_N, strike = Fraction(SF.q_at(1.0)), Fraction(SF.q_at(4.0)), Fraction(spec.strike)
+        qs = [Fraction(SF.q_at(T)) for T in spec.payment_dates]
 
         def coefficient(k):
-            return (1.0 - q_t**k) - (1.0 - q_N**k) - spec.strike * sum(1.0 - q**k for q in qs)
+            return (1 - q_t**k) - (1 - q_N**k) - strike * sum(1 - q**k for q in qs)
 
-        want, tols = self._coherent_one_shot(n, 1.0, coefficient, True, seed)
+        want, tols = self._coherent_one_shot(n, spec, coefficient, seed)
         assert want[0] > 0.0
         self._assert_within(mc_price(CoherentModel(n, SF), spec, self.SAMPLES, seed), want, tols)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 20])
     def test_coherent_bond_matches_one_shot_draw(self, n):
         # the one payoff left unclipped: n! pi_T at the T-bracket
-        T, seed = 2.0, 25
-        q_T = SF.q_at(T)
-        want, tols = self._coherent_one_shot(n, T, lambda k: 1.0 - q_T**k, False, seed)
-        self._assert_within(mc_price(CoherentModel(n, SF), BondSpec(T), self.SAMPLES, seed), want, tols)
+        spec, seed = BondSpec(2.0), 25
+        q_T = Fraction(SF.q_at(spec.maturity))
+        want, tols = self._coherent_one_shot(n, spec, lambda k: 1 - q_T**k, seed)
+        self._assert_within(mc_price(CoherentModel(n, SF), spec, self.SAMPLES, seed), want, tols)
 
     @pytest.mark.parametrize(
         "model, payoff",

@@ -19,6 +19,7 @@ from chaosrates import (
     state_at,
 )
 from chaosrates.coherent_model import pair_sum
+from chaosrates.special_functions import left_sum
 from chaosrates.structure_functions import from_descriptor, to_descriptor
 from support import LookupBracket, residual_pw_pw_by_midpoints
 
@@ -338,3 +339,89 @@ def test_accumulated_variance_monotone_and_bounded(rate, t):
 def test_structure_function_is_abstract():
     with pytest.raises(TypeError):
         StructureFunction()
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [ExponentialDensity(0.3), PiecewiseConstantDensity((1.0, 2.0), (0.5, 0.5)), DiscreteAtoms((1.0, 2.0), (0.5, 0.5))],
+    ids=lambda sf: sf.family,
+)
+def test_nan_time_is_rejected(sf):
+    # no ordering check fails on NaN: the atoms read Q = 0 there, the
+    # densities nan, and a table lookup would index past its last entry
+    with pytest.raises(ValueError, match="nonnegative"):
+        sf.q_at(math.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        state_at(sf, math.nan, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        residual_inner_product(sf, sf, math.nan)
+
+
+def piecewise_q_by_fold(sf, t):
+    """PiecewiseConstantDensity.q_at as it read before its table: the segments up to t folded left from 0.0."""
+    if t >= sf.breaks[-1]:
+        return 1.0
+    acc = 0.0
+    lo = 0.0
+    for b, v in zip(sf.breaks, sf.values):
+        if t <= lo:
+            break
+        acc += v * (min(t, b) - lo)
+        lo = b
+    return min(acc, 1.0)
+
+
+def atoms_q_by_fold(sf, t):
+    """DiscreteAtoms.q_at as it read before its table: the weights up to t folded left from 0."""
+    return min(left_sum(w for T, w in zip(sf.times, sf.weights) if T <= t), 1.0)
+
+
+def same_number(got, want):
+    # repr tells -0.0 from 0.0 and a Fraction or an int from a float
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+@st.composite
+def knots_and_time(draw, exact):
+    """(knots, masses, t): increasing positive knots from drawn gaps, nonnegative
+    masses with a positive sum, and t at 0, exactly at a knot, inside a gap or
+    past the last knot; Fractions throughout when exact."""
+    number = (lambda lo, hi: st.fractions(lo, hi)) if exact else (lambda lo, hi: st.floats(float(lo), hi))
+    gaps = draw(st.lists(number(Fraction(1, 1000), 10), min_size=1, max_size=12))
+    knots, at = [], 0
+    for gap in gaps:
+        at += gap
+        knots.append(at)
+    masses = draw(st.lists(number(0, 10), min_size=len(knots), max_size=len(knots)))
+    assume(sum(masses) > 0)
+    where = draw(st.sampled_from(["zero", "knot", "inside", "past"]))
+    i = draw(st.integers(0, len(knots) - 1))
+    if where == "zero":
+        t = knots[0] * 0
+    elif where == "knot":
+        t = knots[i]
+    elif where == "inside":
+        lo = knots[i - 1] if i else knots[0] * 0
+        t = lo + (knots[i] - lo) * draw(number(0, 1))
+    else:
+        t = knots[-1] + draw(number(0, 100))
+    return knots, masses, t
+
+
+@given(st.booleans().flatmap(knots_and_time))
+@settings(max_examples=300)
+def test_piecewise_q_table_is_the_fold_bit_for_bit(case):
+    breaks, values, t = case
+    sf = PiecewiseConstantDensity(tuple(breaks), tuple(values))
+    for u in (t, float(t)):
+        assert same_number(sf.q_at(u), piecewise_q_by_fold(sf, u))
+
+
+@given(st.booleans().flatmap(knots_and_time))
+@example(([1.0, 2.0, 3.0, 4.0, 5.0], [0.6229016948897019, 0.7417869892607294, 0.7951935655656966, 0.9424502837770503, 0.7398985747399307], 5.0))
+@settings(max_examples=300)
+def test_atoms_q_table_is_the_fold_bit_for_bit(case):
+    times, weights, t = case
+    sf = DiscreteAtoms(tuple(times), tuple(weights))
+    for u in (t, float(t)):
+        assert same_number(sf.q_at(u), atoms_q_by_fold(sf, u))
