@@ -211,6 +211,7 @@ def kernel_polynomial(n: int, q_state: float, q_maturity: float) -> RealPolynomi
     With q_maturity = q_state this is the kernel itself; with q_maturity read
     at a bond maturity it is the bond-price numerator.  Degree is 2n - 2.
     """
+    check_order(n)
     return squares_polynomial(product_weights(n, 1.0 - q_state, 1.0 - q_maturity)[::-1], q_state)
 
 

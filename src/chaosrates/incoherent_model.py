@@ -25,10 +25,8 @@ Grouping the two sums by N = k + m gives one sum per pair,
 which coherent_model.pair_sum evaluates for the kernel (g_ij(T) = g_ij,
 h_ij = 0) and the numerator alike, reading only X^(0..n_i-1).
 
-With equal orders the formula is the equal-order kernel, and with orders
-{1, n} the diagonal of the order-n term carries the (1 - Q)^k / k! weights;
-both are validated against the Monte Carlo conditional-variance oracle in
-the test suite.
+The tests check it at every order against the exact Gauss-Hermite
+conditional variance of simulation_oracle.
 """
 
 from __future__ import annotations

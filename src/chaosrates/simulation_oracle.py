@@ -1,9 +1,9 @@
 """Brute-force verification engines, independent of the closed forms.
 
-Nothing in this module trusts the semi-analytic pricing path: prices come
-from plain Monte Carlo or deterministic quadrature, and the chaos recursion
-is integrated step by step with Euler increments.  Test suites compare
-these estimates against the library's closed-form results.
+Nothing here reuses the semi-analytic pricing assembly: prices come from
+plain Monte Carlo, the kernel from an exact Gauss-Hermite rule, and the
+chaos recursion from Euler steps.  quadrature_price alone integrates the
+pricer's own payoff polynomial, so it checks only the positive-part integral.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .structure_functions import GaussianState
 # samples drawn and evaluated at a time by mc_price; chunked draws from one
 # Generator reproduce a single standard_normal draw of the same total shape
 MC_CHUNK = 2**14
+
+MAX_NODES = 21**3  # the largest gauss_hermite_variance rule: order 20, three terms
 
 
 @dataclass(frozen=True)
@@ -315,15 +317,15 @@ def _incoherent_form(model: IncoherentModel, t: float, weight: float, legs) -> t
     return constant, products
 
 
-def _mc_form(constant, products, gram, shifts, brackets, clipped: bool, samples: int, rng):
+def _mc_form(constant, products, gram, brackets, clipped: bool, samples: int, rng):
     """Mean and standard error of constant + sum c X_i^(a) X_j^(b), clipped or not.
 
     products holds (c, i, a, j, b), a = 0 meaning X^(0) = 1, and gram is
     the drivers' joint covariance.  Only the K_read terms that products
     read at some X^(m >= 1) get a driver: with F F^T their Gram
     sub-matrix, each chunk draws a (size, K_read) block z, the same draw a
-    full-size block would hold, writes R_i = shift_i + sum_k F_ik z[:, k]
-    into term i's X^(1) buffer and walks (m + 1) X^(m+1) = R_i X^(m) -
+    full-size block would hold, writes R_i = sum_k F_ik z[:, k] into
+    term i's X^(1) buffer and walks (m + 1) X^(m+1) = R_i X^(m) -
     q_i X^(m-1), q_i = brackets[i], in place up to the highest order of
     term i that products read.  Every buffer is allocated once per call; a
     term read only at X^(0) gets no buffer and no normal.
@@ -343,13 +345,10 @@ def _mc_form(constant, products, gram, shifts, brackets, clipped: bool, samples:
         zs = rng.standard_normal(out=z[:size])
         out, tmp = acc[:size], prod[:size]
         for i, row in zip(read, factor):
-            shift, q = shifts[i], brackets[i]
-            x = xs[i][:, :size]
+            q, x = brackets[i], xs[i][:, :size]
             r = np.multiply(zs[:, 0], row[0], out=x[0])
             for k in range(1, len(read)):
                 r += np.multiply(zs[:, k], row[k], out=tmp)
-            if shift != 0.0:  # prices carry no shift and skip this pass
-                r += shift
             if top[i] > 1:
                 # X^(2) = (R^2 - q) / 2, as X^(0) = 1
                 np.multiply(r, r, out=x[1])
@@ -388,7 +387,7 @@ def _mc_incoherent(model: IncoherentModel, payoff, samples: int, rng):
     if not any(q for q, term in zip(q_t, model.terms) if term.order > 1):
         return (max(constant, 0.0) if clipped else constant), 0.0
     gram = accumulated_gram_matrix(model, t)
-    return _mc_form(constant, products, gram, [0.0] * len(q_t), q_t, clipped, samples, rng)
+    return _mc_form(constant, products, gram, q_t, clipped, samples, rng)
 
 
 def mc_price(model, payoff, samples: int, seed: int):
@@ -403,39 +402,40 @@ def mc_price(model, payoff, samples: int, seed: int):
     raise ValueError(f"unsupported model type {type(model).__name__}")
 
 
-def mc_conditional_variance(model, state, samples: int, seed: int):
-    """Estimate the conditional variance of the terminal chaos variable.
+def gauss_hermite_variance(model, state) -> float:
+    """pi_t = Var_t(X_inf) = E_t[(X_inf - X_t)^2] by Gauss-Hermite, exact up to rounding.
 
-    Uses mean(X_inf^2) - (E_t[X_inf])^2 with the conditional mean known in
-    closed form (martingale property), halving the estimator noise relative
-    to a plain sample variance.  _mc_form samples X_inf^2 as
-    sum_ij c_i c_j X_i^(n_i) X_j^(n_j) at bracket 1, drivers R_i plus a draw
-    of the residual Gram.  That form reads every term at X^(n_i), so each
-    sample draws one normal per term.  A coherent (model, state) is the
-    one-term pair: weight 1, order n, Gram [[1 - Q]].  The weights are
-    scaled_weights and the estimate scaled back by 4^e, so OverflowError is
-    raised only when the variance itself lies beyond the float range.  With
-    every residual variance zero the variance is exactly 0.0, returned with
-    no draw.
+    With Y = F Z, F F^T the residual Gram, X_inf = sum_i c_i X^(n_i)(R_i +
+    Y_i, 1) has degree N, the largest order, in each normal Z_k: a tensor
+    product of (N + 1)-node rules over the K terms, exact to degree 2N + 1,
+    integrates (X_inf - X_t)^2.  More than MAX_NODES nodes raise ValueError.
+    Only chaos_value's recurrence enters, and np.sum, never BLAS, sums the
+    nodes.  A coherent (model, state) is the one-term pair.  OverflowError
+    means the variance itself is beyond the float range (scaled_weights);
+    with every residual variance zero the result is exactly 0.0.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
     if isinstance(model, CoherentModel) and isinstance(state, GaussianState):
         model = IncoherentModel((IncoherentTerm(1.0, model.n, model.sf),))
         state = MultiGaussianState(state.t, (state.R,), (state.Q,), ((1.0 - state.Q,),))
     elif not (isinstance(model, IncoherentModel) and isinstance(state, MultiGaussianState)):
         raise ValueError("model/state pairing not supported")
     check_state_size(model, state)
-    terms = model.terms
+    terms, top = model.terms, max(model.orders)
     if not any(state.residual_gram[i][i] for i in range(len(terms))):
-        return 0.0, 0.0
+        return 0.0
+    if (top + 1) ** len(terms) > MAX_NODES:
+        raise ValueError(f"a rule of {top + 1}^{len(terms)} nodes exceeds the supported {MAX_NODES}")
+    nodes, weights = np.polynomial.hermite_e.hermegauss(top + 1)
+    z = [axis.ravel() for axis in np.meshgrid(*[nodes] * len(terms), indexing="ij")]
+    w = math.prod(np.meshgrid(*[weights / math.sqrt(2.0 * math.pi)] * len(terms), indexing="ij")).ravel()
     e, c = scaled_weights(model)
+    factor = _gram_factor(np.asarray(state.residual_gram))
+    x_inf = left_sum(
+        ci * chaos_value(term.order, r + left_sum(f * zk for f, zk in zip(row, z)), 1.0)
+        for ci, term, r, row in zip(c, terms, state.values, factor)
+    )
     x_t = left_sum(ci * chaos_value(term.order, r, q) for ci, term, r, q in zip(c, terms, state.values, state.brackets))
-    products = [
-        ((1.0 if i == j else 2.0) * c[i] * c[j], i, ti.order, j, tj.order)
-        for i, ti in enumerate(terms)
-        for j, tj in enumerate(terms[i:], i)
-    ]
-    gram, rng = state.residual_gram, np.random.default_rng(seed)
-    mean, se = _mc_form(0.0, products, gram, state.values, [1.0] * len(terms), False, samples, rng)
-    return math.ldexp(mean - x_t**2, 2 * e), math.ldexp(se, 2 * e)
+    variance = float(np.sum(w * (x_inf - x_t) ** 2))
+    if not math.isfinite(variance):  # ldexp raises only on a finite overflow
+        raise OverflowError("conditional variance lies beyond the float range at this state")
+    return math.ldexp(variance, 2 * e)

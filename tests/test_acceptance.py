@@ -31,7 +31,7 @@ from chaosrates import (
     incoherent_kernel,
     initial_bond_price,
     initial_curve,
-    mc_conditional_variance,
+    gauss_hermite_variance,
     mc_price,
     mixed_order_kernel,
     multi_state_at,
@@ -141,19 +141,18 @@ def test_criterion_03_kernel_values(acceptance_log):
         abs(pricing_kernel(CoherentModel(n, sf), zero) - 1.0 / math.factorial(n))
         for n in range(1, 6)
     )
-    worst_z = 0.0
-    for n in (1, 2, 3):
+    worst_rel = 0.0
+    for n in range(1, 21):
         model = CoherentModel(n, sf)
         state = GaussianState(1.0, 0.35, sf.q_at(1.0))
         closed = pricing_kernel(model, state)
-        est, se = mc_conditional_variance(model, state, 1_000_000, 1000 + n)
-        worst_z = max(worst_z, abs(est - closed) / se)
+        worst_rel = max(worst_rel, abs(gauss_hermite_variance(model, state) - closed) / closed)
     elapsed = time.perf_counter() - t0
-    ok = exact_half and init_err <= 1e-14 and worst_z <= 3.0 and elapsed < 60.0
+    ok = exact_half and init_err <= 1e-14 and worst_rel <= 1e-13 and elapsed < 60.0
     detail = (
         f"order-2 initial kernel == 1/2 exactly: {exact_half}; initial-kernel err "
-        f"{init_err:.1e} (tol 1e-14, orders 1-5); MC conditional variance worst |z| "
-        f"{worst_z:.2f} (< 3, 1e6 samples, orders 1-3); runtime {elapsed:.1f}s (< 60s)"
+        f"{init_err:.1e} (tol 1e-14, orders 1-5); Gauss-Hermite conditional variance worst "
+        f"rel err {worst_rel:.1e} (tol 1e-13, orders 1-20); runtime {elapsed:.1f}s (< 60s)"
     )
     acceptance_log(3, ok, detail)
     assert ok, detail
@@ -460,27 +459,27 @@ def test_criterion_10_incoherent_kernels(acceptance_log):
         )
     )
     zero = multi_state_at(mixed, 0.0, (0.0, 0.0))
-    est, se = mc_conditional_variance(mixed, zero, 200_000, 11)
+    exact = gauss_hermite_variance(mixed, zero)
     adopted = mixed_order_kernel(mixed, zero)  # 1 + 1/3!
     rejected = 1.0 + 1.0 / 36.0  # squared-factorial diagonal alternative
-    z_adopted = abs(est - adopted) / se
-    z_rejected = abs(est - rejected) / se
+    rel_adopted = abs(exact - adopted) / exact
+    rel_rejected = abs(exact - rejected) / exact
     state_late = multi_state_at(mixed, 0.8, (0.2, -0.1))
-    est2, se2 = mc_conditional_variance(mixed, state_late, 400_000, 97)
-    z_late = abs(est2 - mixed_order_kernel(mixed, state_late)) / se2
+    exact_late = gauss_hermite_variance(mixed, state_late)
+    rel_late = abs(exact_late - mixed_order_kernel(mixed, state_late)) / exact_late
 
     ok = (
         collapse_err <= 1e-12
         and expansion_err <= 1e-10
-        and z_adopted <= 3.0
-        and z_late <= 3.0
-        and z_rejected > 5.0
+        and rel_adopted <= 1e-13
+        and rel_late <= 1e-13
+        and rel_rejected > 0.1
     )
     detail = (
         f"single-term collapse err {collapse_err:.1e} (tol 1e-12, 100 states); two-term "
-        f"expansion vs generic err {expansion_err:.1e} (tol 1e-10); mixed-order MC: "
-        f"1/k! diagonal weights supported (|z| {z_adopted:.2f} at t=0, {z_late:.2f} at t=0.8), "
-        f"1/(k!)^2 alternative rejected (|z| {z_rejected:.1f})"
+        f"expansion vs generic err {expansion_err:.1e} (tol 1e-10); mixed-order Gauss-Hermite "
+        f"variance: 1/k! diagonal weights supported (rel err {rel_adopted:.1e} at t=0, "
+        f"{rel_late:.1e} at t=0.8, tol 1e-13), 1/(k!)^2 alternative rejected (rel err {rel_rejected:.2f} > 0.1)"
     )
     acceptance_log(10, ok, detail)
     assert ok, detail

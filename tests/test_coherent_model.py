@@ -173,6 +173,17 @@ def test_kernel_polynomial_degree_and_value():
         assert poly(-0.9) == pytest.approx(pricing_kernel(model, state), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n",
+    # past MAX_ORDER the weights stopped at order 20's and landed on the wrong
+    # squares; order 0 gave the zero polynomial; a float order raised TypeError
+    [25, 21, 0, -1, 2.5, True],
+)
+def test_kernel_polynomial_rejects_a_bad_order(n):
+    with pytest.raises(ValueError, match="chaos order must be an integer"):
+        kernel_polynomial(n, 0.3, 0.3)
+
+
 @given(st.integers(1, 20), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=200)
 def test_product_weights_match_exact_fractions(n, g, frac):

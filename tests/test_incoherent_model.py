@@ -14,9 +14,9 @@ from chaosrates import (
     IncoherentTerm,
     MultiGaussianState,
     bond_price,
+    gauss_hermite_variance,
     incoherent_bond_price,
     incoherent_kernel,
-    mc_conditional_variance,
     mc_price,
     mixed_order_kernel,
     multi_state_at,
@@ -239,14 +239,12 @@ class TestMonteCarloAgreement:
     def test_equal_order_kernel(self):
         state = multi_state_at(EQUAL_ORDER, 1.0, (0.3, -0.4))
         closed = incoherent_kernel(EQUAL_ORDER, state)
-        est, se = mc_conditional_variance(EQUAL_ORDER, state, 400_000, 20260815)
-        assert abs(est - closed) <= 4.0 * se
+        assert gauss_hermite_variance(EQUAL_ORDER, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     def test_mixed_kernel(self):
         state = multi_state_at(MIXED, 0.8, (0.2, -0.1))
         closed = mixed_order_kernel(MIXED, state)
-        est, se = mc_conditional_variance(MIXED, state, 400_000, 97)
-        assert abs(est - closed) <= 4.0 * se
+        assert gauss_hermite_variance(MIXED, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     @staticmethod
     def _orders_2_3(weight):
@@ -258,9 +256,8 @@ class TestMonteCarloAgreement:
         model = self._orders_2_3(1e150)
         state = multi_state_at(model, 0.5, (0.3, -0.2))
         closed = incoherent_kernel(model, state)
-        est, se = mc_conditional_variance(model, state, 100_000, 5)
-        assert math.isfinite(se) and se > 0.0
-        assert abs(est - closed) <= 4.0 * se
+        assert math.isfinite(closed) and closed > 1e299
+        assert gauss_hermite_variance(model, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     def test_conditional_variance_beyond_the_float_range_overflows(self):
         model = self._orders_2_3(1e200)
@@ -268,7 +265,7 @@ class TestMonteCarloAgreement:
         with pytest.raises(OverflowError):
             incoherent_kernel(model, state)
         with pytest.raises(OverflowError):
-            mc_conditional_variance(model, state, 1_000, 5)
+            gauss_hermite_variance(model, state)
 
     def test_overflowing_driver_value_raises(self):
         # unit weights, but X^(2) ~ R^2 / 2 squared overflows at R = 1e100:
@@ -279,8 +276,7 @@ class TestMonteCarloAgreement:
 
     def test_mixed_diagonal_normalisation_is_identified(self):
         # the conditional variance fixes the per-order diagonal weights
-        # 1/k!; the 1/(k!)^2 alternative predicts a variance the sampler
-        # rejects by more than ten standard errors
+        # 1/k!; the 1/(k!)^2 alternative is off by about 12% relative
         model = IncoherentModel(
             (
                 IncoherentTerm(1.0, 1, ExponentialDensity(0.8)),
@@ -288,11 +284,11 @@ class TestMonteCarloAgreement:
             )
         )
         state = multi_state_at(model, 0.0, (0.0, 0.0))
-        est, se = mc_conditional_variance(model, state, 200_000, 11)
+        exact = gauss_hermite_variance(model, state)
         adopted = 1.0 + 1.0 / 6.0
         rejected = 1.0 + 1.0 / 36.0
-        assert abs(est - adopted) <= 4.0 * se
-        assert abs(est - rejected) >= 10.0 * se
+        assert exact == pytest.approx(adopted, rel=1e-13, abs=0.0)
+        assert abs(exact - rejected) >= 0.1 * exact
 
     @pytest.mark.parametrize("maturity,seed", [(2.0, 5), (5.0, 5)])
     def test_equal_order_bond(self, maturity, seed):
@@ -349,8 +345,7 @@ class TestGeneralOrders:
         values = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ np.random.default_rng(seed).standard_normal(len(vals))
         state = multi_state_at(model, t, values)
         closed = incoherent_kernel(model, state)
-        est, se = mc_conditional_variance(model, state, 400_000, seed)
-        assert abs(est - closed) <= 4.0 * se
+        assert gauss_hermite_variance(model, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("model", [ORDERS_2_3, ORDERS_1_2_4], ids=["orders-2-3", "orders-1-2-4"])
     @pytest.mark.parametrize("maturity", [1.5, 4.0])
@@ -367,7 +362,7 @@ class TestGeneralOrders:
 
 @pytest.mark.parametrize(
     "price",
-    [incoherent_kernel, lambda m, s: incoherent_bond_price(m, s, 2.0), lambda m, s: mc_conditional_variance(m, s, 1_000, 5)],
+    [incoherent_kernel, lambda m, s: incoherent_bond_price(m, s, 2.0), gauss_hermite_variance],
     ids=["kernel", "bond", "conditional-variance"],
 )
 @pytest.mark.parametrize(

@@ -15,14 +15,15 @@ from chaosrates import (
     IncoherentModel,
     IncoherentTerm,
     OptionSpec,
+    PiecewiseConstantDensity,
     RealPolynomial,
     SwaptionSpec,
     adaptive_simpson,
     expected_positive_part,
+    gauss_hermite_variance,
     incoherent_bond_price,
     incoherent_kernel,
     initial_bond_price,
-    mc_conditional_variance,
     mc_price,
     price_bond_call,
     price_swaption,
@@ -63,13 +64,6 @@ def model_of_orders(*orders):
     """Terms of the given orders on SF and two other exponential rates."""
     weights, sfs = (0.8, 0.5, 0.35), (SF, ExponentialDensity(0.2), ExponentialDensity(1.3))
     return IncoherentModel(tuple(IncoherentTerm(c, n, sf) for c, n, sf in zip(weights, orders, sfs)))
-
-
-class NoDraw:
-    """A Generator stand-in whose draw fails the test."""
-
-    def standard_normal(self, *args, **kwargs):
-        raise AssertionError("drew normals where the result is deterministic")
 
 
 class DrawCounter:
@@ -194,8 +188,6 @@ class TestMonteCarloPricing:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             mc_price(ORDER_TWO, BondSpec(2.0), 1, 1)
-        with pytest.raises(ValueError):
-            mc_conditional_variance(ORDER_TWO, GaussianState(0.0, 0.0, 0.0), 1, 1)
 
     def test_unsupported_types(self):
         with pytest.raises(ValueError):
@@ -203,7 +195,7 @@ class TestMonteCarloPricing:
         with pytest.raises(ValueError):
             mc_price("zebra", BondSpec(2.0), 100, 1)
         with pytest.raises(ValueError):
-            mc_conditional_variance(ORDER_TWO, "zebra", 100, 1)
+            gauss_hermite_variance(ORDER_TWO, "zebra")
 
     def test_bond(self):
         closed = initial_bond_price(ORDER_TWO, 2.0)
@@ -246,8 +238,7 @@ class TestMonteCarloPricing:
     def test_conditional_variance_matches_kernel(self):
         state = GaussianState(1.0, 0.4, SF.q_at(1.0))
         closed = pricing_kernel(ORDER_TWO, state)
-        est, se = mc_conditional_variance(ORDER_TWO, state, 400_000, 19)
-        assert abs(est - closed) <= 4.0 * se
+        assert gauss_hermite_variance(ORDER_TWO, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 class TestChunkedMonteCarlo:
@@ -427,30 +418,28 @@ class TestChunkedMonteCarlo:
         ],
         ids=["coherent-order-two", "incoherent-past-last-atom"],
     )
-    def test_conditional_variance_without_residual_draws_nothing(self, monkeypatch, model, state, kernel):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraw())
+    def test_conditional_variance_without_residual_builds_no_rule(self, monkeypatch, model, state, kernel):
+        def no_rule(degree):
+            raise AssertionError("built a Gauss-Hermite rule where the variance is exactly zero")
+
+        monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", no_rule)
         assert kernel(model, state) == 0.0
-        assert mc_conditional_variance(model, state, self.SAMPLES, 1) == (0.0, 0.0)
+        assert gauss_hermite_variance(model, state) == 0.0
 
     @pytest.mark.parametrize(
-        "model, target, drivers",
+        "model, payoff, drivers",
         [
             (ORDER_TWO, OptionSpec(1.0, 2.0, 0.55), ()),
             # an order-1 term enters a payoff only through X^(0) = 1
             (model_of_orders(1, 3), OptionSpec(1.0, 3.0, 0.3), (1,)),
             (model_of_orders(2, 2), OptionSpec(1.0, 3.0, 0.3), (2,)),
-            # the variance reads X^(n_i) of every term
-            (model_of_orders(1, 3), multi_state_at(model_of_orders(1, 3), 0.8, (0.3, -0.2)), (2,)),
         ],
-        ids=["coherent-call", "incoherent-call-one-plus-n", "incoherent-call-equal-order", "incoherent-variance-one-plus-n"],
+        ids=["coherent-call", "incoherent-call-one-plus-n", "incoherent-call-equal-order"],
     )
-    def test_draws_one_normal_per_read_driver_per_sample(self, monkeypatch, model, target, drivers):
+    def test_draws_one_normal_per_read_driver_per_sample(self, monkeypatch, model, payoff, drivers):
         counter = DrawCounter(1)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: counter)
-        if isinstance(target, OptionSpec):
-            mc_price(model, target, self.SAMPLES, 1)
-        else:
-            mc_conditional_variance(model, target, self.SAMPLES, 1)
+        mc_price(model, payoff, self.SAMPLES, 1)
         assert counter.shapes == [(MC_CHUNK, *drivers), (MC_CHUNK, *drivers), (17, *drivers)]
 
     def _incoherent_one_shot(self, model, payoff, seed):
@@ -528,14 +517,6 @@ class TestChunkedMonteCarlo:
         want = self._mean_and_error(kernel(residual_gram_matrix(model, T), r) / pi_0)
         self._assert_close(mc_price(model, BondSpec(T), self.SAMPLES, seed), want)
 
-    def test_conditional_variance_matches_one_shot_draw(self):
-        state, seed = GaussianState(1.0, 0.4, SF.q_at(1.0)), 27
-        r_inf = 0.4 + math.sqrt(1.0 - state.Q) * np.random.default_rng(seed).standard_normal(self.SAMPLES)
-        squares = ((r_inf**3 - 3.0 * r_inf) / 6.0) ** 2  # X^(3) at bracket 1, squared
-        x_t = (0.4**3 - 3.0 * 0.4 * state.Q) / 6.0
-        mean, se = self._mean_and_error(squares)
-        self._assert_close(mc_conditional_variance(CoherentModel(3, SF), state, self.SAMPLES, seed), (mean - x_t**2, se))
-
     @staticmethod
     def _assert_flat_peak(price):
         # tracemalloc peak of price(samples) at 2e5 and 2e6 samples
@@ -557,10 +538,6 @@ class TestChunkedMonteCarlo:
         model = IncoherentModel((IncoherentTerm(0.8, 2, SF), IncoherentTerm(0.5, 3, ExponentialDensity(0.2))))
         self._assert_flat_peak(lambda samples: mc_price(model, OptionSpec(0.8, 2.5, 0.4), samples, 30))
 
-    def test_conditional_variance_memory_does_not_grow_with_the_sample_count(self):
-        state = GaussianState(1.0, 0.4, SF.q_at(1.0))
-        self._assert_flat_peak(lambda samples: mc_conditional_variance(CoherentModel(3, SF), state, samples, 28))
-
 
 def test_general_order_kernel_form_is_the_conditional_variance():
     # orders (2, 3): neither equal nor {1, n}; the oracle's kernel form at a
@@ -573,5 +550,49 @@ def test_general_order_kernel_form_is_the_conditional_variance():
     xs = [chaos_values(term.order, r, q) for term, r, q in zip(model.terms, state.values, state.brackets)]
     form = constant + sum(c * xs[i][a] * xs[j][b] for c, i, a, j, b in products)
     pi_0 = 0.8**2 / 2.0 + 0.5**2 / 6.0
-    est, se = mc_conditional_variance(model, state, 400_000, 29)
-    assert abs(form * pi_0 - est) <= 4.0 * se
+    assert form * pi_0 == pytest.approx(gauss_hermite_variance(model, state), rel=1e-13, abs=0.0)
+
+
+# the three structure-function families; the atoms put states before the
+# first atom (Q = 0) and past the last (Q = 1, a zero variance)
+FAMILIES = {
+    "exponential": ExponentialDensity(0.23),
+    "piecewise": PiecewiseConstantDensity((1.0, 2.5, 6.0, 14.0), (0.4, 1.3, 0.7, 0.2)),
+    "atoms": DiscreteAtoms((0.5, 1.0, 2.0, 3.5, 6.0), (0.15, 0.3, 0.25, 0.2, 0.1)),
+}
+
+
+class TestGaussHermiteVariance:
+    """The kernels against the exact conditional variance, up to n = 20."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_coherent_kernel_is_the_conditional_variance(self, family, n):
+        sf = FAMILIES[family]
+        model = CoherentModel(n, sf)
+        rng = np.random.default_rng(1000 * n + len(family))
+        for t in (0.25, 0.75, 1.5, 3.0, 7.0):
+            q = sf.q_at(t)
+            state = GaussianState(t, math.sqrt(q) * float(rng.standard_normal()), q)
+            assert gauss_hermite_variance(model, state) == pytest.approx(pricing_kernel(model, state), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("orders", [(2, 3), (1, 2, 4), (5, 8, 12), (10, 15, 20)], ids=str)
+    def test_incoherent_kernel_is_the_conditional_variance(self, orders):
+        model = model_of_orders(*orders)
+        rng = np.random.default_rng(sum(orders))
+        for t in (0.3, 0.9, 2.0):
+            vals, vecs = np.linalg.eigh(accumulated_gram_matrix(model, t))
+            values = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ rng.standard_normal(len(vals))
+            state = multi_state_at(model, t, values)
+            closed = incoherent_kernel(model, state)
+            assert gauss_hermite_variance(model, state) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    def test_rule_past_the_node_bound_is_refused(self):
+        # 21^3 nodes is the largest rule: orders (20, 20, 20, 1) need 21^4
+        # and (10, 10, 10, 10) need 11^4
+        for orders in [(20, 20, 20, 1), (10, 10, 10, 10)]:
+            terms = (IncoherentTerm(0.5, n, ExponentialDensity(0.3 + 0.2 * k)) for k, n in enumerate(orders))
+            model = IncoherentModel(tuple(terms))
+            state = multi_state_at(model, 0.5, (0.1,) * len(orders))
+            with pytest.raises(ValueError, match="nodes exceeds"):
+                gauss_hermite_variance(model, state)
