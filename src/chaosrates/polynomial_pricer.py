@@ -7,11 +7,13 @@ consecutive roots, then integrate p against the normal density over the
 intervals where p is positive.
 
 The kernel is a sum of even chaoses, so every coherent payoff is even in z:
-p(z) = P(z^2) with P of degree n - 1.  Root isolation uses this whenever
-every odd coefficient is exactly zero: it finds the roots y >= 0 of P and
-maps each y > 0 to the pair +-sqrt(y).  Above degree 2, Descartes's rule of
-signs on P's float coefficients settles most payoffs: no sign change means
-no positive root, one means exactly one, found by Newton-bisection inside a
+p(z) = P(z^2) with P of degree n - 1, and its exercise region is symmetric
+about 0.  An even p is solved on the half-line z >= 0 only
+(_half_line_region): the roots y >= 0 of P map to z = sqrt(y), and the sign
+is tested on the intervals of [0, inf) alone; _exercise_region mirrors that
+region onto the whole line.  Above degree 2, Descartes's rule of signs on
+P's float coefficients settles most payoffs: no sign change means no
+positive root, one means exactly one, found by Newton-bisection inside a
 root bound.  Only P with two or more sign changes needs the companion
 matrix, of degree n - 1, not 2n - 2.  Every Newton step is one pass over
 the coefficients that returns p, p' and the rounding size together, and
@@ -28,12 +30,14 @@ expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
 each c_m the difference of two product_weights terms of one sign, and the
 payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign certificate
 reads the c_m first: all negative, the payoff is negative everywhere; all
-positive, it is at least c_0 > 0 everywhere.  Only the rest build that
-polynomial, and only for its roots.  The price and the delta are summed in
-the squared form itself, n! sum_m c_m Q_t^m K_m over the exercise
-intervals, K_m the normal integral of (He_m / m!)^2 by its own recurrence
-(_squares_moment_sum): every K_m is nonnegative, so no monomial moment
-cancels, and on the whole line K_m = 1 / m!.
+positive, it is at least c_0 > 0 everywhere, on [0, inf) too.  Only the
+rest build P, straight from the squares (_in_y), and only for its roots.
+The price and the delta are summed in the squared form itself over the
+right half and doubled, 2 n! sum_m c_m Q_t^m K_m, K_m the normal integral
+of (He_m / m!)^2 over the exercise intervals on z >= 0 by its own
+recurrence (_squares_moment_sum): every K_m is nonnegative, so no monomial
+moment cancels.  K_0 of [0, hi] is erf(hi / sqrt 2) / 2, and every
+boundary term at z = 0 is exactly zero, so on [0, inf) K_m = 1 / (2 m!).
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import _FACTORIALS, MAX_ORDER, CoherentModel, product_weights, squares_polynomial
-from .special_functions import RealPolynomial, gaussian_partial_moments, left_sum, normal_cdf, normal_pdf
+from .coherent_model import _FACTORIALS, MAX_ORDER, CoherentModel, _squared_terms, product_weights, squares_polynomial
+from .special_functions import _SQRT_2, RealPolynomial, gaussian_partial_moments, left_sum, normal_cdf, normal_pdf
 from .structure_functions import check_finite
 
 MAX_DEGREE = 30
@@ -58,8 +62,13 @@ _ROUNDING_FLOOR = 4.0 * sys.float_info.epsilon
 # term of p too small to move it anywhere on |z| <= 40 cannot move a price
 _DENSITY_REACH = 40.0
 
-# _DENSITY_REACH**k up to the degree 2n - 2 of a payoff of the highest order
+# _DENSITY_REACH**k up to the degree 2n - 2 of a payoff of the highest order,
+# and the even ones: the reach of y^k = z^(2k)
 _REACH_POWERS = tuple(_DENSITY_REACH**k for k in range(2 * MAX_ORDER - 1))
+_REACH_SQUARES = _REACH_POWERS[::2]
+
+# the exercise region on z >= 0 of a payoff positive on the whole line
+_RIGHT_HALF = ((0.0, math.inf),)
 
 
 @dataclass(frozen=True)
@@ -284,23 +293,23 @@ def _real_roots(p: RealPolynomial) -> list:
     if deg == 2:
         return _stable_quadratic_roots(c[0], c[1], c[2])
     if not any(c[1::2]):
-        # even: p(z) = P(z^2), so solve P at half the degree, then take
-        # symmetric square roots of its nonnegative roots
-        P = RealPolynomial(c[::2])
-        roots = []
-        for y in _real_roots(P) if P.degree <= 2 else _nonnegative_roots(P):
-            if y > 0:
-                z = math.sqrt(y)
-                roots.extend([-z, z])
-            elif y == 0:
-                roots.append(0.0)
-        return sorted(roots)
+        # even: p(z) = P(z^2), the roots z >= 0 and their mirror images
+        return list(_mirrored(_half_line_roots(RealPolynomial(c[::2])), ())[0])
     return _polished_roots(p, np.polynomial.polynomial.polyroots(np.asarray(c)))
 
 
-def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
+def _half_line_roots(P: RealPolynomial) -> tuple:
+    """The roots z >= 0 of p(z) = P(z^2), sorted: sqrt(y) for each root y >= 0
+    of P, from the closed forms up to degree 2 and _nonnegative_roots above;
+    a root at the origin is +0.0."""
+    ys = _real_roots(P) if P.degree <= 2 else _nonnegative_roots(P)
+    return tuple(0.0 if y == 0 else math.sqrt(y) for y in ys if y >= 0)
+
+
+def _root_finding_part(p: RealPolynomial, reach: tuple = _REACH_POWERS) -> RealPolynomial:
     """p without the leading terms below the rounding floor of the rest on
-    |z| <= _DENSITY_REACH.
+    |z| <= _DENSITY_REACH; reach[k] is the size of p's k-th power there
+    (_REACH_SQUARES for P in y = z^2, which drops what p would).
 
     Such a term (an expiry so close that Q_t ** (n - 1) underflows leaves a
     subnormal leading coefficient) moves p by less than its rounding error
@@ -310,7 +319,7 @@ def _root_finding_part(p: RealPolynomial) -> RealPolynomial:
     the whole range.  Only the roots are found from this part; signs and
     moments use every coefficient of p.
     """
-    terms = [abs(c) * r if c != 0.0 else 0.0 for c, r in zip(p.coeffs, _REACH_POWERS)]
+    terms = [abs(c) * r if c != 0.0 else 0.0 for c, r in zip(p.coeffs, reach)]
     deg = len(terms) - 1
     while deg > 0 and terms[deg] < sys.float_info.epsilon * left_sum(terms[:deg]):
         deg -= 1
@@ -329,21 +338,57 @@ def _interior_point(lo: float, hi: float) -> float:
 
 def _exercise_region(p: RealPolynomial) -> tuple:
     """(roots, intervals): the real roots of p and the intervals they cut
-    where p > 0, empty for the zero polynomial."""
+    where p > 0, empty for the zero polynomial.  An even p is solved on
+    z >= 0 by _half_line_region and mirrored."""
     if p.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree {p.degree} exceeds the supported maximum {MAX_DEGREE}")
     if p.is_zero:
         return (), ()
+    c = p.coeffs
+    if not any(c[1::2]):
+        return _mirrored(*_half_line_region(RealPolynomial(c[::2])))
     roots = _real_roots(_root_finding_part(p))
     cuts = zip([-math.inf] + roots, roots + [math.inf])
-    c = p.coeffs
-    if any(c[1::2]):
-        intervals = tuple((lo, hi) for lo, hi in cuts if p(_interior_point(lo, hi)) > 0)
-    else:
-        # p(z) = P(z^2): the sign from P takes half of p's Horner steps
-        lead, rest = c[-1], c[-3::-2]
-        intervals = tuple((lo, hi) for lo, hi in cuts if _even_value(lead, rest, _interior_point(lo, hi)) > 0)
+    intervals = tuple((lo, hi) for lo, hi in cuts if p(_interior_point(lo, hi)) > 0)
     return tuple(roots), intervals
+
+
+def _half_line_region(P: RealPolynomial) -> tuple:
+    """(roots, intervals) of p(z) = P(z^2) on z >= 0: its roots z >= 0 and
+    the intervals of [0, inf) they cut where p > 0, empty for P = 0.
+
+    Each interval is signed at _interior_point of its mirrored cut, so the
+    mirrored region is signed at the same points on both halves: the
+    midpoint between two roots, beside the last root for the tail, and
+    z = 0 for the cut (-hi, hi) around the origin when 0 is no root.
+    P(z^2) takes half of p's Horner steps.
+    """
+    if P.is_zero:
+        return (), ()
+    roots = _half_line_roots(_root_finding_part(P, _REACH_SQUARES))
+    straddles = 0.0 not in roots
+    edges = ((0.0,) if straddles else ()) + roots
+    c = P.coeffs
+    lead, rest = c[-1], c[-2::-1]
+    intervals = tuple(
+        (lo, hi)
+        for lo, hi in zip(edges, edges[1:] + (math.inf,))
+        if _even_value(lead, rest, 0.0 if straddles and lo == 0.0 else _interior_point(lo, hi)) > 0
+    )
+    return roots, intervals
+
+
+def _mirrored(roots: tuple, intervals: tuple) -> tuple:
+    """The whole-line (roots, intervals) of an even p from its half-line ones:
+    each root z > 0 gains -z and each interval its reflection, and an
+    interval from the origin when 0 is no root joins its reflection."""
+    full_roots = tuple(-z for z in reversed(roots) if z > 0) + roots
+    # 0.0 - x, not -x: the end at a root at the origin stays +0.0
+    left = [(0.0 - hi, 0.0 - lo) for lo, hi in reversed(intervals)]
+    right = list(intervals)
+    if right and right[0][0] == 0.0 and 0.0 not in roots:
+        left[-1] = (left[-1][0], right.pop(0)[1])
+    return full_roots, tuple(left + right)
 
 
 def _even_value(lead: float, rest: tuple, z: float) -> float:
@@ -375,19 +420,28 @@ def _squares_moment_sum(a, intervals) -> float:
 
     with X^(m) at each endpoint walked by (m + 1) X^(m+1) = z X^(m) - X^(m-1).
     A boundary term is zero where rho is, at an infinite endpoint too, so on
-    the whole line K_m = 1 / m!.  Every K_m is nonnegative: a sum of squares
-    cancels only where its a[m] change sign.
+    the whole line K_m = 1 / m!; it is exactly zero at z = 0 too, where one
+    of X^(m), X^(m-1) is an odd Hermite polynomial, so on [0, inf)
+    K_m = 1 / (2 m!).  Every K_m is nonnegative: a sum of squares cancels
+    only where its a[m] change sign.
     """
     total = 0.0
     for lo, hi in intervals:
-        r_lo, r_hi = normal_pdf(lo), normal_pdf(hi)
+        # lo = 0 is taken as rho = 0 there: its boundary terms are zero either way
+        r_lo, r_hi = (normal_pdf(lo) if lo else 0.0), normal_pdf(hi)
         # where rho is zero the walk runs at z = 0: finite, its terms times rho = 0
         z_lo, z_hi = (lo if r_lo else 0.0), (hi if r_hi else 0.0)
         x_lo, x_hi = z_lo, z_hi  # X^(1)
         prev_lo = prev_hi = 1.0  # X^(0)
-        # Phi(hi) - Phi(lo) as the difference of the smaller tails: in the
-        # right tail 1 - Phi would cancel to its rounding error
-        k = normal_cdf(-lo) - normal_cdf(-hi) if lo > 0 else normal_cdf(hi) - normal_cdf(lo)
+        # Phi(hi) - Phi(lo) as the difference of the smaller tails, where
+        # 1 - Phi would cancel to its rounding error, and across the origin
+        # as the sum of its two halves, where it would cancel near z = 0
+        if lo > 0:
+            k = normal_cdf(-lo) - normal_cdf(-hi)
+        elif hi < 0:
+            k = normal_cdf(hi) - normal_cdf(lo)
+        else:
+            k = 0.5 * (math.erf(hi / _SQRT_2) - math.erf(lo / _SQRT_2))
         total += a[0] * k
         for m in range(1, len(a)):
             k = (k - (r_hi * x_hi * prev_hi - r_lo * x_lo * prev_lo)) / m
@@ -444,6 +498,17 @@ def _in_z(c: list, q_t: float) -> RealPolynomial:
     return squares_polynomial(_scaled(c, q_t), 1.0)
 
 
+def _in_y(a: list) -> RealPolynomial:
+    """P with P(z^2) = sum_m a[m] (X^(m)(z, 1))^2: the even coefficients of
+    squares_polynomial(a, 1.0), bit for bit, without its odd zeros."""
+    out = [0.0] * len(a)
+    for m, am in enumerate(a):
+        if am != 0.0:
+            for b, i, _ in _squared_terms(m):
+                out[i // 2] += am * b
+    return RealPolynomial(out)
+
+
 def _sign_certificate(c: list):
     """The exercise intervals of sum_m c_m (X^(m))^2 if the signs of the c_m
     settle them, else None: every c_m < 0, none; every c_m > 0, the whole
@@ -460,16 +525,14 @@ def _sign_certificate(c: list):
 
 
 def _price(n: int, c: list, q_t: float) -> float:
-    """n! E[(p(Z))+] of the payoff with squared-form coefficients c."""
-    intervals = _sign_certificate(c)
-    if intervals == ():
+    """n! E[(p(Z))+] of the payoff with squared-form coefficients c, summed
+    as twice the moment sum over the exercise region on z >= 0."""
+    certified = _sign_certificate(c)
+    if certified == ():
         return 0.0
-    a = _scaled(c, q_t)  # the payoff in z and the moment sum read the same list
-    if intervals is None:
-        intervals = _exercise_region(squares_polynomial(a, 1.0))[1]
-        if not intervals:
-            return 0.0
-    return math.factorial(n) * max(_squares_moment_sum(a, intervals), 0.0)
+    a = _scaled(c, q_t)  # the payoff in y and the moment sum read the same list
+    intervals = _RIGHT_HALF if certified else _half_line_region(_in_y(a))[1]
+    return math.factorial(n) * max(2.0 * _squares_moment_sum(a, intervals), 0.0)
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
@@ -499,18 +562,20 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
     c = _call_squares(n, spec.strike, q_t, q_T)
-    intervals = _sign_certificate(c)
-    if intervals is None:
-        roots, intervals = _exercise_region(_in_z(c, q_t))
-        for r in roots:
-            if abs(r) <= 1e-9:
-                raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
+    certified = _sign_certificate(c)
+    if certified is None:
+        roots, intervals = _half_line_region(_in_y(_scaled(c, q_t)))
+        if roots and roots[0] <= 1e-9:
+            raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
+    else:
+        intervals = _RIGHT_HALF if certified else ()
     if not intervals:
         return 0.0
     denom = n * q_T ** (n - 1)
     h = q_T - q_t
     d = [1.0] + product_weights(n - 1, h, h)  # h^(N-1) / (N-1)!, N = 1..n
-    return math.factorial(n) * _squares_moment_sum(_scaled([d[N - 1] / denom for N in range(n, 0, -1)], q_t), intervals)
+    scaled = _scaled([d[N - 1] / denom for N in range(n, 0, -1)], q_t)
+    return math.factorial(n) * (2.0 * _squares_moment_sum(scaled, intervals))
 
 
 def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> RealPolynomial:

@@ -718,9 +718,10 @@ class TestSignCertificate:
 
     @pytest.fixture
     def isolated(self, monkeypatch):
-        """The names of the root-isolation functions called, in order."""
+        """The names of the root-isolation functions called, in order: the
+        pricer isolates the roots of an even payoff on z >= 0."""
         seen = []
-        for name in ("_exercise_region", "_companion_eigenvalues"):
+        for name in ("_half_line_region", "_companion_eigenvalues"):
             real = getattr(pp, name)
 
             def spy(*args, _real=real, _name=name):
@@ -779,14 +780,14 @@ class TestSignCertificate:
         model, spec = CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9)
         assert pp._sign_certificate(pp._call_squares(16, 0.9, FAMILIES[0].q_at(2.0), FAMILIES[0].q_at(6.5))) is None
         price_bond_call(model, spec)
-        assert isolated == ["_exercise_region", "_companion_eigenvalues"]
+        assert isolated == ["_half_line_region", "_companion_eigenvalues"]
         isolated.clear()
         call_delta(model, spec)
-        assert isolated == ["_exercise_region", "_companion_eigenvalues"]
+        assert isolated == ["_half_line_region", "_companion_eigenvalues"]
         isolated.clear()
         model, spec = swaption_case(3, 0.15, (0.3, 0.3, 0.3), 1.0)
         price_swaption(model, spec)
-        assert isolated == ["_exercise_region"]
+        assert isolated == ["_half_line_region"]
 
     def test_dyadic_origin_root_sits_on_the_boundary(self):
         # (1 - K) g^2 == h^2 exactly: the strict test leaves the payoff to
@@ -948,6 +949,44 @@ class TestSquaresMomentSum:
             got = pp._squares_moment_sum(a, [(-math.inf, math.inf)])
             assert abs(got * math.factorial(m) - 1.0) <= (m + 1) * sys.float_info.epsilon
 
+    @pytest.mark.parametrize("h", [1e-8, 1e-5, 0.3])
+    def test_tiny_region_across_the_origin(self, h):
+        # K_0 of [-h, h] as Phi(h) - Phi(-h) cancels to the rounding of 1/2:
+        # 4.5e-9 relative at h = 1e-8.  The two erf halves do not cancel.
+        a = [1.0, 0.5, 0.25, 2.0]
+        want = self.reference(a, -h, h)
+        for got in (pp._squares_moment_sum(a, [(-h, h)]), 2.0 * pp._squares_moment_sum(a, [(0.0, h)])):
+            assert abs(self.mp.mpf(got) - want) <= 4 * sys.float_info.epsilon * want
+
+    @staticmethod
+    def _mirror(half, origin_root):
+        """The symmetric region whose right half is the intervals half: with
+        a root at the origin the interval from 0 is cut there."""
+        left = [(-hi, -lo) for lo, hi in reversed(half)]
+        if half and half[0][0] == 0.0 and not origin_root:
+            return left[:-1] + [(left[-1][0], half[0][1])] + half[1:]
+        return left + half
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+        st.lists(st.floats(0.01, 9.0), max_size=6, unique=True),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example([1.0, -2.0, 0.5], [], False, True)  # the whole line
+    @example([0.3, 1.0, -0.2, 0.7], [1.5], True, True)  # a root at 0
+    @example([0.3, 1.0, -0.2, 0.7], [1.5], False, True)  # an interval across 0
+    @example([0.3] * 12, [8.5, 30.0], False, False)  # far tails
+    @settings(max_examples=100, deadline=None)
+    def test_half_line_sum_is_half_the_symmetric_region(self, a, cuts, origin_root, exercised_first):
+        edges = [0.0] + sorted(cuts) + [math.inf]
+        half = [(lo, hi) for i, (lo, hi) in enumerate(zip(edges, edges[1:])) if (i % 2 == 0) == exercised_first]
+        whole = self._mirror(half, origin_root)
+        got = 2.0 * pp._squares_moment_sum(a, half)
+        err = abs(self.mp.mpf(got) - sum(self.reference(a, lo, hi) for lo, hi in whole))
+        scale = sum(self.rounding_scale(a, lo, hi) for lo, hi in whole)
+        assert err <= 64 * sys.float_info.epsilon * scale + 2 * len(a) * len(whole) * math.ulp(0.0)
+
     @given(st.integers(1, 16), st.floats(0.001, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.2))
     @settings(max_examples=200, deadline=None)
     def test_whole_line_call_is_the_forward(self, n, q_t, frac, strike):
@@ -961,6 +1000,100 @@ class TestSquaresMomentSum:
         forward = (1 - qT**n) - k * (1 - qt**n)
         scale = abs(1 - k) * (1 - qT**n) + k * (qT**n - qt**n)
         assert abs(Fraction(price) - forward) <= (n + 4) * Fraction(sys.float_info.epsilon) * scale
+
+
+def full_line_region(p):
+    """(roots, intervals) of an even p by the whole-line sweep: the roots
+    y >= 0 of P, p(z) = P(z^2), each y > 0 mapped to -sqrt(y), sqrt(y), and
+    the sign of every cut of the whole line read from P(z^2); a root-finding
+    part of degree at most 2 by the closed forms in z."""
+    part = _root_finding_part(p)
+    if part.degree <= 2:
+        roots = _real_roots(part)
+    else:
+        P = RealPolynomial(part.coeffs[::2])
+        roots = []
+        for y in _real_roots(P) if P.degree <= 2 else pp._nonnegative_roots(P):
+            if y > 0:
+                z = math.sqrt(y)
+                roots.extend([-z, z])
+            elif y == 0:
+                roots.append(0.0)
+        roots.sort()
+    cuts = zip([-math.inf] + roots, roots + [math.inf])
+    lead, rest = p.coeffs[-1], p.coeffs[-3::-2]
+    intervals = tuple((lo, hi) for lo, hi in cuts if pp._even_value(lead, rest, pp._interior_point(lo, hi)) > 0)
+    return tuple(roots), intervals
+
+
+class TestHalfLineRegion:
+    """_exercise_region solves an even payoff on z >= 0 and mirrors it: its
+    roots and intervals are those of the whole-line sweep bit for bit, a
+    root at the origin +0.0 on both sides."""
+
+    @staticmethod
+    def _same_region(got, want):
+        """(roots, intervals) equal float for float, signed zeros apart."""
+        flat = [(roots, [x for cut in intervals for x in cut]) for roots, intervals in (got, want)]
+        for xs, ys in zip(*flat):
+            assert len(xs) == len(ys)
+            for x, y in zip(xs, ys):
+                assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y), (got, want)
+
+    def _check(self, c, q_t):
+        a = pp._scaled(c, q_t)
+        p = squares_polynomial(a, 1.0)
+        assert pp._in_y(a).coeffs == p.coeffs[::2]
+        self._same_region(pp._exercise_region(p), full_line_region(p))
+
+    @given(st.integers(3, 16), st.floats(0.01, 0.999), st.floats(0.01, 0.999), st.floats(0.0, 1.2))
+    @example(2, 0.5, 0.75, 0.75)  # the dyadic root at the origin
+    @example(16, 0.9765282605635307, 0.9986941723829467, 0.09077588699168371)  # TestTailContractWork
+    @settings(max_examples=200, deadline=None)
+    def test_calls(self, n, x, y, strike):
+        q_t, q_T = min(x, y), max(x, y)
+        self._check(pp._call_squares(n, strike, q_t, q_T), q_t)
+
+    @pytest.mark.parametrize(
+        "P, want_roots, want_intervals",
+        [
+            # the dyadic call: p = c z^2, c < 0
+            (squares_polynomial(pp._scaled(pp._call_squares(2, 0.75, 0.5, 0.75), 0.5), 1.0).coeffs[::2], (0.0,), ()),
+            # y (1 - y^2): exercised on both sides of the root at the origin
+            ((0.0, 1.0, 0.0, -1.0), (-1.0, 0.0, 1.0), ((-1.0, 0.0), (0.0, 1.0))),
+            # -y (1 - y^2): exercised outside +-1
+            ((0.0, -1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), ((-math.inf, -1.0), (1.0, math.inf))),
+        ],
+    )
+    def test_root_at_the_origin_is_positive_zero(self, P, want_roots, want_intervals):
+        self._same_region(pp._exercise_region(TestEvenPayoffs._even(P)), (want_roots, want_intervals))
+
+    @given(st.floats(0.01, 0.999), st.floats(0.01, 0.999), st.floats(0.0, 1.2))
+    @settings(max_examples=200, deadline=None)
+    def test_linear_P_gives_symmetric_roots(self, x, y, strike):
+        # n = 2: p = c_0 + c_2 z^2 and P is linear.  Its roots +-sqrt(-c_0 / c_2)
+        # are exactly symmetric, within 2 ulps of the quadratic formula on p,
+        # whose two roots round apart
+        q_t, q_T = min(x, y), max(x, y)
+        p = squares_polynomial(pp._scaled(pp._call_squares(2, strike, q_t, q_T), q_t), 1.0)
+        roots = pp._exercise_region(p)[0]
+        assert roots == tuple(-z for z in reversed(roots))
+        quadratic = _real_roots(p)
+        assert len(roots) == len(quadratic)
+        for z, w in zip(roots, quadratic):
+            assert abs(z - w) <= 2 * math.ulp(w)
+
+    @given(
+        st.integers(3, 16),
+        st.floats(0.01, 0.95),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.floats(0.0, 1.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_swaptions(self, n, q_t, steps, strike_share):
+        model, spec = swaption_case(n, q_t, [0.5 * step for step in steps], strike_share)
+        q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
+        self._check(pp._swaption_squares(n, spec.strike, q_t, q_pay), q_t)
 
 
 def count_calls(monkeypatch, *names):
@@ -1014,7 +1147,8 @@ def test_fused_pass_is_three_horner_passes_bit_for_bit(c, x):
 class TestTailContractWork:
     """The n = 16 call that sets analytic_book's tail: every c_m but the top
     one is positive, so P has 15 positive roots near the zeros of He_15 and the
-    call is exercised on 15 short intervals."""
+    call is exercised on 15 short intervals, 8 of them on z >= 0 (the one
+    across the origin counted once)."""
 
     MODEL = call_model(16, 0.9765282605635307, 0.9986941723829467)
     SPEC = OptionSpec(1.0, 2.0, 0.09077588699168371)
@@ -1036,8 +1170,9 @@ class TestTailContractWork:
         # size in one fused pass: 33 passes for the 15 roots of P here
         assert counts["_newton_polish"] == 15
         assert counts["_fused_pass"] <= 2.5 * 15
-        # one evaluation of P(z^2) per interval between the 30 roots
-        assert counts["_even_value"] == 31
+        # one evaluation of P(z^2) per interval of [0, inf) between the 15
+        # roots z > 0: the pricer signs only the right half
+        assert counts["_even_value"] == 16
         assert counts["RealPolynomial"] == 0
 
 
