@@ -90,38 +90,15 @@ def _squared_terms(m: int) -> tuple:
     return tuple((float(c), i, j) for (i, j), c in exact.items())
 
 
-def iter_chaos_values(m: int, r, q):
-    """Yield X^(0), X^(1), ..., X^(m) at driver value r with bracket q.
-
-    Walks the Hermite three-term recurrence
-
-        (k + 1) X^(k+1) = r X^(k) - q X^(k-1),
-
-    holding only the last two orders, so chaos_value reads X^(m) in memory
-    independent of m.  Broadcasts over arrays.
-    """
-    if m < 0:
-        return
-    prev = r * 0.0 + q * 0.0 + 1.0
-    yield prev
-    if m == 0:
-        return
-    cur = prev * r
-    yield cur
-    for k in range(1, m):
-        nxt = r * cur  # a fresh array: the yielded orders are never written
-        nxt -= q * prev
-        nxt /= k + 1
-        prev, cur = cur, nxt
-        yield cur
-
-
 def chaos_values(m: int, r, q) -> list:
     """[X^(0), ..., X^(m)] at driver value r with bracket q (empty for m < 0).
 
-    The chaos evaluator: O(m) multiplies by the Hermite recurrence, with
-    exactly the operations of iter_chaos_values in one loop, broadcasting
-    over arrays of r and q.
+    The chaos evaluator: O(m) multiplies by the Hermite three-term
+    recurrence
+
+        (k + 1) X^(k+1) = r X^(k) - q X^(k-1),
+
+    broadcasting over arrays of r and q.
     """
     if m < 0:
         return []
@@ -143,9 +120,7 @@ def chaos_value(m: int, r, q):
     """Evaluate X^(m) at driver value r with bracket q; broadcasts over arrays."""
     if m < 0:
         return r * 0.0 + q * 0.0
-    for x in iter_chaos_values(m, r, q):
-        pass
-    return x
+    return chaos_values(m, r, q)[m]
 
 
 def chaos_polynomial(m: int, q: float) -> RealPolynomial:

@@ -3,13 +3,15 @@
 Nothing here reuses the semi-analytic pricing assembly: prices come from
 plain Monte Carlo, the kernel from an exact Gauss-Hermite rule, and the
 chaos recursion from Euler steps.  quadrature_price alone integrates the
-pricer's own payoff polynomial, so it checks only the positive-part integral.
+pricer's own payoff polynomial, by one fixed Gauss-Legendre rule on panels
+cut at its roots, so it checks only the positive-part integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +27,9 @@ from .structure_functions import GaussianState
 MC_CHUNK = 2**14
 
 MAX_NODES = 21**3  # the largest gauss_hermite_variance rule: order 20, three terms
+
+LEGENDRE_POINTS = 24  # quadrature_price's Gauss-Legendre rule on each panel
+PANEL_WIDTH = 0.5  # its widest panel
 
 
 @dataclass(frozen=True)
@@ -69,78 +74,52 @@ def simulate_chaos_sde(
     return ChaosPaths(times=times, values=values, realized_brackets=realized)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson integral of a vectorised f on [a, b], absolute tol.
+@lru_cache(maxsize=None)
+def _legendre_rule() -> tuple:
+    # the method's fixed rule, built on first use: numpy.polynomial stays
+    # out of the import of the package, and leggauss out of every price
+    from numpy.polynomial.legendre import leggauss
 
-    Keeps a flat queue of active segments, splitting them in lockstep and
-    banking Richardson-corrected values once the local error fits within the
-    segment's width-proportional share of the tolerance.  The queue starts
-    from segments of at most unit width: one coarse Simpson pair over a wide
-    interval can agree with itself by accident and stop the pass too early.
-    """
-    span = float(b - a)
-    if span == 0.0:
-        return 0.0
-    edges = np.linspace(float(a), float(b), max(1, math.ceil(abs(span))) + 1)
-    lo = edges[:-1]
-    hi = edges[1:]
-    flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
-    s = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    total = 0.0
-    for depth in range(max_depth + 1):
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid, frmid = f(lmid), f(rmid)
-        s_left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
-        s_right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
-        err = s_left + s_right - s
-        done = (np.abs(err) <= 15.0 * tol * (hi - lo) / span) | (depth == max_depth)
-        total += float(np.sum((s_left + s_right + err / 15.0)[done]))
-        keep = ~done
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        fmid = np.concatenate([flmid[keep], frmid[keep]])
-        s = np.concatenate([s_left[keep], s_right[keep]])
-    return total
+    return leggauss(LEGENDRE_POINTS)
 
 
 def quadrature_price(payoff_polynomial: RealPolynomial, order: int) -> float:
     """n! * integral of (p(z))+ against the standard normal density.
 
-    Truncation at |z| = 12 discards Gaussian mass below 2e-32.  The domain
-    is split at the payoff's real roots (companion-matrix eigenvalues) so
-    the adaptive pass never has to discover a kink, or a sign bump narrower
-    than its probe spacing, on its own.
+    One fixed rule: LEGENDRE_POINTS-point Gauss-Legendre on panels at most
+    PANEL_WIDTH wide, which integrates p(z) rho(z) on a panel free of kinks
+    to rounding.  For p of degree d, |z|^d rho(z) is below 1e-39 of its
+    peak beyond |z| = 12 + sqrt(d + 2), where the domain ends.  The domain
+    is cut at the payoff's real roots (companion-matrix eigenvalues), so no
+    panel straddles a kink of the positive part or misses a sign bump
+    narrower than a panel.  The nodes are summed by np.sum, never a BLAS
+    product, whose kernel and last bits depend on the CPU.
     """
     if payoff_polynomial.degree > MAX_DEGREE:
         raise ValueError(f"polynomial degree {payoff_polynomial.degree} exceeds the supported maximum {MAX_DEGREE}")
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def integrand(z):
-        return np.maximum(payoff_polynomial(z), 0.0) * norm * np.exp(-0.5 * z * z)
-
-    # leading terms below eps of the largest term anywhere on |z| <= 12 cannot
-    # move a cut inside the range; np.roots would divide by them (a subnormal
-    # leading coefficient at a near-zero expiry fills its matrix with inf)
+    end = 12.0 + math.sqrt(payoff_polynomial.degree + 2)
+    # leading terms below eps of the largest term anywhere on |z| <= end
+    # cannot move a cut inside the range; np.roots would divide by them (a
+    # subnormal leading coefficient at a near-zero expiry fills its matrix
+    # with inf)
     coeffs = list(payoff_polynomial.coeffs)
-    reach = [abs(c) * 12.0**k for k, c in enumerate(coeffs)]
+    reach = [abs(c) * end**k for k, c in enumerate(coeffs)]
     while len(coeffs) > 1 and reach[len(coeffs) - 1] < np.finfo(float).eps * max(reach):
         coeffs.pop()
-    cuts = [-12.0, 12.0]
+    cuts = [-end, end]
     if len(coeffs) > 1:
         for root in np.roots(coeffs[::-1]):
-            if abs(root.imag) < 1e-9 and -12.0 < root.real < 12.0:
+            if abs(root.imag) < 1e-9 and -end < root.real < end:
                 cuts.append(float(root.real))
     cuts.sort()
-    return math.factorial(order) * left_sum(
-        adaptive_simpson(integrand, a, b, tol=1e-11)
-        for a, b in zip(cuts, cuts[1:])
+    edges = np.concatenate(
+        [np.linspace(a, b, math.ceil((b - a) / PANEL_WIDTH) + 1)[:-1] for a, b in zip(cuts, cuts[1:])] + [[end]]
     )
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, weights = _legendre_rule()
+    z = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return math.factorial(order) * float(np.sum(np.maximum(payoff_polynomial(z), 0.0) * density * (half * weights)))
 
 
 def _payoff_legs(payoff) -> tuple:

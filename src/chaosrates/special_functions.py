@@ -66,21 +66,6 @@ class RealPolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return RealPolynomial(out)
-
-    def __neg__(self) -> "RealPolynomial":
-        return RealPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, RealPolynomial):
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import chaosrates
 from chaosrates import (
     CoherentModel,
     ExponentialDensity,
@@ -172,6 +177,14 @@ class TestPrice:
         closed = price_bond_call(model, OptionSpec(1.0, 2.0, 0.6))
         assert payload["stderr"] > 0.0
         assert abs(payload["price"] - closed) <= 4.0 * payload["stderr"]
+
+    def test_importing_the_cli_leaves_numpy_polynomial_out(self):
+        # quadrature_price builds its Gauss-Legendre rule on first use: a
+        # module-level numpy.polynomial import costs every command ~3 ms
+        src = str(Path(chaosrates.__file__).parents[1])
+        code = "import sys, chaosrates.cli; assert 'numpy.polynomial' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     @pytest.mark.parametrize("method,tol", [("analytic", 1e-12), ("quadrature", 1e-8)])
     def test_call_at_a_near_zero_expiry(self, capsys, method, tol):

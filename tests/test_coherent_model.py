@@ -27,7 +27,6 @@ from chaosrates import (
 from chaosrates.coherent_model import (
     _chaos_terms,
     from_descriptor,
-    iter_chaos_values,
     pair_sum,
     product_weights,
     squares_polynomial,
@@ -253,16 +252,6 @@ def test_pair_sum_broadcasts_cell_by_cell(n, r, q, q_T):
         g_cell = float(g[j])
         assert kernels[i, j] == pair_sum(n, n, cell, cell, g_cell, g_cell)
         assert numers[i, j] == pair_sum(n, n, cell, cell, g_cell, 1.0 - q_T)
-
-
-@pytest.mark.parametrize("m", range(-1, 21))
-def test_chaos_values_is_the_generator_list_bit_for_bit(m):
-    # the one-loop list takes the recurrence's operations in the same order
-    rng = np.random.default_rng([m + 1, 3])
-    for r, q in [(float(rng.normal()), float(rng.uniform())), (rng.normal(size=4), rng.uniform(size=4))]:
-        got, want = chaos_values(m, r, q), list(iter_chaos_values(m, r, q))
-        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
-        assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def pair_sum_by_list(a, b, xi, xj, g, g_T):

@@ -1,4 +1,5 @@
-"""Accuracy gate for call prices, call deltas and swaption prices.
+"""Accuracy gate for call prices, call deltas and swaption prices, and for
+the quadrature oracle's price of each call and swaption.
 
 Every contract is checked against a 60-digit mpmath reference that shares
 no arithmetic with the pricer.  The payoff is even in the driver, so with
@@ -23,7 +24,10 @@ squared form itself, taking each interval's normal mass from its smaller
 tails, so prices sit within a few ulps of the reference.  The larger delta
 maxima record where the float roots lie: a price is stationary in its
 exercise boundary, a delta is not, so its worst values follow the error of
-the roots (ROADMAP D4).
+the roots (ROADMAP D4).  quadrature_price integrates the same contracts'
+payoff polynomials by its fixed Gauss-Legendre rule.  Those float monomial
+coefficients cancel more as the degree 2n - 2 grows, and its bounds grow
+with them: the same rule on the exact payoff lands within 2.4e-15 at n = 16.
 """
 
 import math
@@ -40,10 +44,13 @@ from chaosrates import (
     PiecewiseConstantDensity,
     SwaptionSpec,
     call_delta,
+    call_payoff_polynomial,
     initial_bond_price,
     kernel_coefficient,
     price_bond_call,
     price_swaption,
+    quadrature_price,
+    swaption_payoff_polynomial,
 )
 from chaosrates import polynomial_pricer as pp
 from chaosrates.special_functions import left_sum
@@ -70,6 +77,10 @@ BOUNDS = {
     "call": {5: (2.4e-15, 1.1e-14), 8: (1.6e-15, 2.6e-15), 12: (1.8e-15, 3.1e-15), 16: (2.1e-15, 7.3e-15)},
     "delta": {5: (2.2e-15, 3.2e-15), 8: (2.4e-15, 1.1e-14), 12: (1.9e-15, 2.9e-12), 16: (1.2e-13, 3.5e-10)},
     "swaption": {5: (2.8e-15, 3.4e-15), 8: (1.3e-14, 1.6e-14), 12: (1.8e-14, 4.7e-14), 16: (1.2e-14, 4.8e-14)},
+    # calls and swaptions together; the n = 16 maximum is a swaption, and the
+    # gate's tail swaption (worth 2.0e-16, exercised only beyond |z| = 11.85)
+    # sits at 6.1e-15
+    "quadrature": {5: (5.8e-15, 1.5e-14), 8: (3.8e-14, 5.4e-14), 12: (1.1e-13, 2.7e-12), 16: (3.7e-11, 2.3e-10)},
 }
 
 
@@ -197,7 +208,7 @@ def certified(kind, model, spec):
 
 def errors(n):
     """{quantity: [relative error]} over the order's contracts."""
-    out = {"call": [], "delta": [], "swaption": []}
+    out = {"call": [], "delta": [], "swaption": [], "quadrature": []}
     for kind, order, _, model, spec in CONTRACTS:
         if order != n:
             continue
@@ -206,10 +217,12 @@ def errors(n):
             price, delta = call_reference(n, q_t, model.sf.q_at(spec.bond_maturity), spec.strike)
             out["call"].append(rel_error(price_bond_call(model, spec), price))
             out["delta"].append(rel_error(call_delta(model, spec), delta))
+            out["quadrature"].append(rel_error(quadrature_price(call_payoff_polynomial(model, spec), n), price))
         else:
             q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
             want = swaption_reference(n, q_t, q_pay, spec.strike)
             out["swaption"].append(rel_error(price_swaption(model, spec), want))
+            out["quadrature"].append(rel_error(quadrature_price(swaption_payoff_polynomial(model, spec), n), want))
     return out
 
 

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,6 @@ from chaosrates import (
     PiecewiseConstantDensity,
     RealPolynomial,
     SwaptionSpec,
-    adaptive_simpson,
     expected_positive_part,
     gauss_hermite_variance,
     incoherent_bond_price,
@@ -78,23 +78,6 @@ class DrawCounter:
         return draw
 
 
-class TestAdaptiveSimpson:
-    def test_polynomial(self):
-        got = adaptive_simpson(lambda x: x * x, 0.0, 1.0)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_sine(self):
-        got = adaptive_simpson(np.sin, 0.0, math.pi)
-        assert got == pytest.approx(2.0, abs=1e-10)
-
-    def test_gaussian_mass(self):
-        f = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        assert adaptive_simpson(f, -8.0, 8.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_empty_interval(self):
-        assert adaptive_simpson(np.sin, 1.0, 1.0) == 0.0
-
-
 class TestQuadraturePrice:
     def test_positive_constant(self):
         assert quadrature_price(RealPolynomial((0.4,)), 3) == pytest.approx(
@@ -129,6 +112,18 @@ class TestQuadraturePrice:
         want = 6 * expected_positive_part(p).value
         assert want > 1e-3  # the bumps carry real mass
         assert quadrature_price(p, 3) == pytest.approx(want, abs=1e-8)
+
+    def test_tail_only_payoff(self):
+        # even and positive only beyond |z| = 5.3, so its whole price of
+        # 4.4e-8 lies in the tails; the reference integrates it in 50
+        # digits from its largest root out, and doubles that for z < 0
+        coeffs = (-0.024202857750348004, 0.0, -0.0266206923565113, 0.0, 0.0009802293230247343)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        poly = [mp.mpf(c) for c in reversed(coeffs)]
+        edge = max(mp.re(y) for y in mp.polyroots(poly, extraprec=50) if abs(mp.im(y)) < 1e-30)
+        want = 6 * 2 * mp.quad(lambda z: mp.polyval(poly, z) * mp.npdf(z), [edge, edge + 1, mp.inf])
+        assert quadrature_price(RealPolynomial(coeffs), 3) == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 class TestChaosSde:
