@@ -254,6 +254,38 @@ def test_pair_sum_broadcasts_cell_by_cell(n, r, q, q_T):
         assert numers[i, j] == pair_sum(n, n, cell, cell, g_cell, 1.0 - q_T)
 
 
+def iter_chaos_values(m, r, q):
+    """The recurrence as a generator holding only the last two orders, as
+    coherent_model once kept it beside chaos_values."""
+    if m < 0:
+        return
+    prev = r * 0.0 + q * 0.0 + 1.0
+    yield prev
+    if m == 0:
+        return
+    cur = prev * r
+    yield cur
+    for k in range(1, m):
+        nxt = r * cur
+        nxt -= q * prev
+        nxt /= k + 1
+        prev, cur = cur, nxt
+        yield cur
+
+
+@pytest.mark.parametrize("m", range(-1, 21))
+def test_chaos_values_is_the_generator_list_bit_for_bit(m):
+    # the one-loop list takes the recurrence's operations in the same order,
+    # and chaos_value reads its last order
+    rng = np.random.default_rng([m + 1, 3])
+    for r, q in [(float(rng.normal()), float(rng.uniform())), (rng.normal(size=4), rng.uniform(size=4))]:
+        got, want = chaos_values(m, r, q), list(iter_chaos_values(m, r, q))
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+        assert [type(x) for x in got] == [type(x) for x in want]
+        if m >= 0:
+            assert np.asarray(chaos_value(m, r, q)).tobytes() == np.asarray(want[-1]).tobytes()
+
+
 def pair_sum_by_list(a, b, xi, xj, g, g_T):
     """pair_sum as it read before its walk: over the product_weights list."""
     acc = 0.0

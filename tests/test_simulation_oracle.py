@@ -91,6 +91,22 @@ class TestQuadraturePrice:
         with pytest.raises(ValueError):
             quadrature_price(RealPolynomial((0.0,) * 31 + (1.0,)), 2)
 
+    @pytest.mark.parametrize("k", range(16))
+    def test_even_moment(self, k):
+        # z^(2k) up to MAX_DEGREE = 30: the domain's end grows with the
+        # degree, so the tail of each moment stays inside it
+        want = math.factorial(3) * math.prod(range(2 * k - 1, 0, -2))
+        got = quadrature_price(RealPolynomial((0.0,) * (2 * k) + (1.0,)), 3)
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("strike", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    def test_linear_call(self, strike):
+        # (z - K)+ has its kink at the root z = K, a panel edge
+        density = math.exp(-0.5 * strike**2) / math.sqrt(2 * math.pi)
+        want = 24 * (density - strike * 0.5 * math.erfc(strike / math.sqrt(2)))
+        got = quadrature_price(RealPolynomial((-strike, 1.0)), 4)
+        assert got == pytest.approx(want, rel=4e-15, abs=0)
+
     def test_agrees_with_moment_engine(self):
         for coeffs in [(1.0, 0.0, -1.0), (0.25, 0.0, -1.25, 0.0, 1.0), (0.1, -0.3, 0.2, 0.05)]:
             p = RealPolynomial(coeffs)
