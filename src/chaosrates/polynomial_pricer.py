@@ -16,9 +16,10 @@ P's float coefficients settles most payoffs: no sign change means no
 positive root, one means exactly one, found by Newton-bisection inside a
 root bound.  Only P with two or more sign changes needs the companion
 matrix, of degree n - 1, not 2n - 2.  Every Newton step is one pass over
-the coefficients that returns p, p' and the rounding size together, and
-the sign of an even p between its roots is read from P(z^2), in half the
-steps.
+the coefficients that returns p, p' and the rounding size together; the
+last pass also certifies the root unless its step was long, near a double
+root, which takes one more.  The sign of an even p between its roots is
+read from P(z * z), in half the steps.
 
 Every payoff and delta is a sum of squares sum_{m<n} c_m (X^(m))^2 at
 expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
@@ -31,7 +32,8 @@ each c_m the difference of two product_weights terms of one sign, and the
 payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign certificate
 reads the c_m first: all negative, the payoff is negative everywhere; all
 positive, it is at least c_0 > 0 everywhere, on [0, inf) too.  Only the
-rest build P, straight from the squares (_in_y), and only for its roots.
+rest build P, the even coefficients of the payoff in z, and only for its
+roots (_region).
 The price and the delta are summed in the squared form itself over the
 right half and doubled, 2 n! sum_m c_m Q_t^m K_m, K_m the normal integral
 of (He_m / m!)^2 over the exercise intervals on z >= 0 by its own
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_model import _FACTORIALS, MAX_ORDER, CoherentModel, _squared_terms, product_weights, squares_polynomial
+from .coherent_model import _FACTORIALS, MAX_ORDER, CoherentModel, product_weights, squares_polynomial
 from .special_functions import _SQRT_2, RealPolynomial, gaussian_partial_moments, left_sum, normal_cdf, normal_pdf
 from .structure_functions import check_finite
 
@@ -177,34 +179,38 @@ def _fused_pass(terms, x: float) -> tuple:
     return f * x + c0, df, size * ax + ac0
 
 
-def _newton_polish(terms, x: float) -> float:
-    """Newton on p from x, terms = _fused_terms(p.coeffs): one pass per step."""
-    for _ in range(40):
-        fx, dfx, size = _fused_pass(terms, x)
-        if dfx == 0 or not math.isfinite(dfx):
-            break
-        nxt = x - fx / dfx
-        if not math.isfinite(nxt):
-            break
-        # the step from a point at the floor is still taken: it costs no
-        # evaluation, and it lands at the root when x was merely close
-        if abs(nxt - x) <= 1e-15 * max(1.0, abs(nxt)) or abs(fx) <= _ROUNDING_FLOOR * size:
-            return nxt
-        x = nxt
-    return x
-
-
 def _polished_roots(p: RealPolynomial, candidates) -> list:
-    """Newton-polish the real candidates, keep those p certifies, dedupe."""
+    """Newton-polish the real candidates, keep those p certifies, dedupe.
+
+    Each Newton step is one _fused_pass.  A polished x is kept when
+    |p(x)| <= 1e-11 (1 + sum |c_k| |x|^k), the sum of term magnitudes being
+    p's condition-aware scale near x (Horner overflows it to inf where **
+    would raise).  That test reads the last pass when the final step was
+    below 1e-12 relative, and one more pass at x otherwise: near a double
+    root p' is small, so the last step can be long and the point before it
+    no root.
+    """
     terms = _fused_terms(p.coeffs)
     roots = []
     for z in candidates:
         if abs(z.imag) > 1e-7 * max(1.0, abs(z)):
             continue
-        x = _newton_polish(terms, float(z.real))
-        # the sum of term magnitudes is p's condition-aware scale near x;
-        # Horner overflows it to inf where ** would raise
-        fx, _, size = _fused_pass(terms, x)
+        x = float(z.real)
+        for _ in range(40):
+            fx, dfx, size = _fused_pass(terms, x)
+            nxt = x - fx / dfx if dfx != 0 and math.isfinite(dfx) else math.nan
+            if not math.isfinite(nxt):
+                break
+            x, step = nxt, abs(nxt - x)
+            scale = max(1.0, abs(x))
+            # the step from a point at the floor is still taken: it costs no
+            # evaluation, and it lands at the root when x was merely close
+            if step <= 1e-15 * scale or abs(fx) <= _ROUNDING_FLOOR * size:
+                if step > 1e-12 * scale:
+                    fx, _, size = _fused_pass(terms, x)
+                break
+        else:
+            fx, _, size = _fused_pass(terms, x)
         if abs(fx) <= 1e-11 * (1.0 + size):
             roots.append(x)
     roots.sort()
@@ -292,18 +298,7 @@ def _real_roots(p: RealPolynomial) -> list:
         return [-c[0] / c[1]]
     if deg == 2:
         return _stable_quadratic_roots(c[0], c[1], c[2])
-    if not any(c[1::2]):
-        # even: p(z) = P(z^2), the roots z >= 0 and their mirror images
-        return list(_mirrored(_half_line_roots(RealPolynomial(c[::2])), ())[0])
     return _polished_roots(p, np.polynomial.polynomial.polyroots(np.asarray(c)))
-
-
-def _half_line_roots(P: RealPolynomial) -> tuple:
-    """The roots z >= 0 of p(z) = P(z^2), sorted: sqrt(y) for each root y >= 0
-    of P, from the closed forms up to degree 2 and _nonnegative_roots above;
-    a root at the origin is +0.0."""
-    ys = _real_roots(P) if P.degree <= 2 else _nonnegative_roots(P)
-    return tuple(0.0 if y == 0 else math.sqrt(y) for y in ys if y >= 0)
 
 
 def _root_finding_part(p: RealPolynomial, reach: tuple = _REACH_POWERS) -> RealPolynomial:
@@ -357,25 +352,27 @@ def _half_line_region(P: RealPolynomial) -> tuple:
     """(roots, intervals) of p(z) = P(z^2) on z >= 0: its roots z >= 0 and
     the intervals of [0, inf) they cut where p > 0, empty for P = 0.
 
-    Each interval is signed at _interior_point of its mirrored cut, so the
-    mirrored region is signed at the same points on both halves: the
-    midpoint between two roots, beside the last root for the tail, and
+    The roots are sqrt(y) for each root y >= 0 of P, sorted, from the closed
+    forms up to degree 2 and _nonnegative_roots above; a root at the origin
+    is +0.0.  Each interval is signed at _interior_point of its mirrored
+    cut, so the mirrored region is signed at the same points on both halves:
+    the midpoint between two roots, beside the last root for the tail, and
     z = 0 for the cut (-hi, hi) around the origin when 0 is no root.
-    P(z^2) takes half of p's Horner steps.
+    P(z * z) takes half of p's Horner steps.
     """
     if P.is_zero:
         return (), ()
-    roots = _half_line_roots(_root_finding_part(P, _REACH_SQUARES))
+    part = _root_finding_part(P, _REACH_SQUARES)
+    ys = _real_roots(part) if part.degree <= 2 else _nonnegative_roots(part)
+    roots = tuple(0.0 if y == 0 else math.sqrt(y) for y in ys if y >= 0)
     straddles = 0.0 not in roots
     edges = ((0.0,) if straddles else ()) + roots
-    c = P.coeffs
-    lead, rest = c[-1], c[-2::-1]
-    intervals = tuple(
-        (lo, hi)
-        for lo, hi in zip(edges, edges[1:] + (math.inf,))
-        if _even_value(lead, rest, 0.0 if straddles and lo == 0.0 else _interior_point(lo, hi)) > 0
-    )
-    return roots, intervals
+    intervals = []
+    for lo, hi in zip(edges, edges[1:] + (math.inf,)):
+        z = 0.0 if straddles and lo == 0.0 else _interior_point(lo, hi)
+        if P(z * z) > 0:
+            intervals.append((lo, hi))
+    return roots, tuple(intervals)
 
 
 def _mirrored(roots: tuple, intervals: tuple) -> tuple:
@@ -389,16 +386,6 @@ def _mirrored(roots: tuple, intervals: tuple) -> tuple:
     if right and right[0][0] == 0.0 and 0.0 not in roots:
         left[-1] = (left[-1][0], right.pop(0)[1])
     return full_roots, tuple(left + right)
-
-
-def _even_value(lead: float, rest: tuple, z: float) -> float:
-    """p(z) = P(z^2) by Horner's rule on P, for P with leading coefficient
-    lead and the other coefficients from the top down in rest."""
-    y = z * z
-    acc = lead
-    for ck in rest:
-        acc = acc * y + ck
-    return acc
 
 
 def expected_positive_part(p: RealPolynomial) -> PositivePartResult:
@@ -498,17 +485,6 @@ def _in_z(c: list, q_t: float) -> RealPolynomial:
     return squares_polynomial(_scaled(c, q_t), 1.0)
 
 
-def _in_y(a: list) -> RealPolynomial:
-    """P with P(z^2) = sum_m a[m] (X^(m)(z, 1))^2: the even coefficients of
-    squares_polynomial(a, 1.0), bit for bit, without its odd zeros."""
-    out = [0.0] * len(a)
-    for m, am in enumerate(a):
-        if am != 0.0:
-            for b, i, _ in _squared_terms(m):
-                out[i // 2] += am * b
-    return RealPolynomial(out)
-
-
 def _sign_certificate(c: list):
     """The exercise intervals of sum_m c_m (X^(m))^2 if the signs of the c_m
     settle them, else None: every c_m < 0, none; every c_m > 0, the whole
@@ -524,15 +500,23 @@ def _sign_certificate(c: list):
     return None
 
 
+def _region(c: list, q_t: float) -> tuple:
+    """(roots, intervals) on z >= 0 of the payoff with squared-form
+    coefficients c: from _sign_certificate where it settles them, else from
+    _half_line_region on P, the even coefficients of the payoff in z."""
+    certified = _sign_certificate(c)
+    if certified is not None:
+        return (), (_RIGHT_HALF if certified else ())
+    return _half_line_region(RealPolynomial(_in_z(c, q_t).coeffs[::2]))
+
+
 def _price(n: int, c: list, q_t: float) -> float:
     """n! E[(p(Z))+] of the payoff with squared-form coefficients c, summed
     as twice the moment sum over the exercise region on z >= 0."""
-    certified = _sign_certificate(c)
-    if certified == ():
+    intervals = _region(c, q_t)[1]
+    if not intervals:
         return 0.0
-    a = _scaled(c, q_t)  # the payoff in y and the moment sum read the same list
-    intervals = _RIGHT_HALF if certified else _half_line_region(_in_y(a))[1]
-    return math.factorial(n) * max(2.0 * _squares_moment_sum(a, intervals), 0.0)
+    return math.factorial(n) * max(2.0 * _squares_moment_sum(_scaled(c, q_t), intervals), 0.0)
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
@@ -561,14 +545,9 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    c = _call_squares(n, spec.strike, q_t, q_T)
-    certified = _sign_certificate(c)
-    if certified is None:
-        roots, intervals = _half_line_region(_in_y(_scaled(c, q_t)))
-        if roots and roots[0] <= 1e-9:
-            raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
-    else:
-        intervals = _RIGHT_HALF if certified else ()
+    roots, intervals = _region(_call_squares(n, spec.strike, q_t, q_T), q_t)
+    if roots and roots[0] <= 1e-9:
+        raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     if not intervals:
         return 0.0
     denom = n * q_T ** (n - 1)
