@@ -16,10 +16,9 @@ P's float coefficients settles most payoffs: no sign change means no
 positive root, one means exactly one, found by Newton-bisection inside a
 root bound.  Only P with two or more sign changes needs the companion
 matrix, of degree n - 1, not 2n - 2.  Every Newton step is one pass over
-the coefficients that returns p, p' and the rounding size together; the
-last pass also certifies the root unless its step was long, near a double
-root, which takes one more.  The sign of an even p between its roots is
-read from P(z * z), in half the steps.
+the coefficients that returns p, p' and the rounding size together, and
+one more such pass at the polished root certifies it.  The sign of an even
+p between its roots is read from P(z * z), in half the steps.
 
 Every payoff and delta is a sum of squares sum_{m<n} c_m (X^(m))^2 at
 expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
@@ -182,13 +181,10 @@ def _fused_pass(terms, x: float) -> tuple:
 def _polished_roots(p: RealPolynomial, candidates) -> list:
     """Newton-polish the real candidates, keep those p certifies, dedupe.
 
-    Each Newton step is one _fused_pass.  A polished x is kept when
-    |p(x)| <= 1e-11 (1 + sum |c_k| |x|^k), the sum of term magnitudes being
-    p's condition-aware scale near x (Horner overflows it to inf where **
-    would raise).  That test reads the last pass when the final step was
-    below 1e-12 relative, and one more pass at x otherwise: near a double
-    root p' is small, so the last step can be long and the point before it
-    no root.
+    Each Newton step is one _fused_pass, and one more pass at the polished
+    x keeps it when |p(x)| <= 1e-11 (1 + sum |c_k| |x|^k), the sum of term
+    magnitudes being p's condition-aware scale near x (Horner overflows it
+    to inf where ** would raise).
     """
     terms = _fused_terms(p.coeffs)
     roots = []
@@ -202,15 +198,11 @@ def _polished_roots(p: RealPolynomial, candidates) -> list:
             if not math.isfinite(nxt):
                 break
             x, step = nxt, abs(nxt - x)
-            scale = max(1.0, abs(x))
             # the step from a point at the floor is still taken: it costs no
             # evaluation, and it lands at the root when x was merely close
-            if step <= 1e-15 * scale or abs(fx) <= _ROUNDING_FLOOR * size:
-                if step > 1e-12 * scale:
-                    fx, _, size = _fused_pass(terms, x)
+            if step <= 1e-15 * max(1.0, abs(x)) or abs(fx) <= _ROUNDING_FLOOR * size:
                 break
-        else:
-            fx, _, size = _fused_pass(terms, x)
+        fx, _, size = _fused_pass(terms, x)
         if abs(fx) <= 1e-11 * (1.0 + size):
             roots.append(x)
     roots.sort()

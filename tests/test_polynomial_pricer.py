@@ -614,8 +614,9 @@ class TestEvenPayoffs:
         st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4),
         st.lists(st.floats(0.01, 30.0), min_size=0, max_size=14),
     )
-    # a double root at z = +-1: certified at the point before its last,
-    # long Newton step, a root would be kept where |p| = 0.0165
+    # a double root at z = +-1, where p' is small and Newton's last step
+    # long: certified at the point before that step, a root would be kept
+    # where |p| = 0.0165
     @example(lead=0.109375, real_pairs=[1.0, 1.0, 4.0], complex_pairs=[])
     @settings(max_examples=300, deadline=None)
     def test_even_roots_from_construction(self, lead, real_pairs, complex_pairs):
@@ -1137,10 +1138,33 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch):
     x = 5.042924790072165
     assert 0.0 < abs(p(x)) <= _ROUNDING_FLOOR * size(abs(x))
     counts = count_calls(monkeypatch, "_fused_pass")
-    # Newton and the root certificate together
     (root,) = pp._polished_roots(p, [x])
-    assert counts["_fused_pass"] <= 2
+    # at most 2 Newton passes, and the certificate's pass at the root
+    assert counts["_fused_pass"] <= 3
     assert abs(p(root)) <= 1e-11 * term_magnitude(p, root)
+
+
+# (1e6 z - 1)(z^2 + 1): one simple root at z = 1e-6, where p' is about 1e6
+STEEP_SMALL_ROOT_PAYOFF = (-1.0, 1e6, -1.0, 1e6)
+
+
+@pytest.mark.parametrize("offset", [-9e-16, -2e-16, 5e-17, 2e-16, 5e-16, 9e-16])
+def test_a_steep_root_is_certified_where_newton_stops(offset):
+    # a start this close to the root is one Newton step below 1e-15 away,
+    # yet |p| there is 1e6 |offset|, above the bound 1e-11 (1 + size) ~ 3e-11:
+    # only the pass at the point Newton returns certifies the root
+    p = RealPolynomial(STEEP_SMALL_ROOT_PAYOFF)
+    assert pp._polished_roots(p, [1e-6 + offset]) == [pytest.approx(1e-6, rel=1e-15, abs=0.0)]
+
+
+def test_steep_small_root_price():
+    # E[(p(Z))+] over (a, inf), a = 1e-6, by the partial moments of Z^k there
+    res = expected_positive_part(RealPolynomial(STEEP_SMALL_ROOT_PAYOFF))
+    assert res.roots == pytest.approx((1e-6,), rel=1e-15, abs=0.0)
+    a = 1e-6
+    pdf, tail = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi), 0.5 * math.erfc(a / math.sqrt(2.0))
+    want = 1e6 * (a * a + 2.0) * pdf - (a * pdf + tail) + 1e6 * pdf - tail
+    assert res.value == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=31), st.floats(-50.0, 50.0))
@@ -1174,10 +1198,8 @@ class TestTailContractWork:
 
         monkeypatch.setattr(RealPolynomial, "__call__", counted_call)
         api(self.MODEL, self.SPEC)
-        # Newton and the root certificate evaluate p, p' and the rounding
-        # size in one fused pass, the certificate from Newton's last where
-        # its step was short: 33 passes for the 15 roots of P here, 36 with
-        # a pass of its own for every certificate
+        # each Newton step and each root certificate evaluate p, p' and the
+        # rounding size in one fused pass: 36 passes for the 15 roots of P here
         assert counts["_fused_pass"] <= 2.5 * 15
         # one evaluation of P(z * z) per interval of [0, inf) between the 15
         # roots z > 0: the pricer signs only the right half
