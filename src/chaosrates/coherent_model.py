@@ -149,8 +149,12 @@ def product_weights(n: int, g, g_T) -> list:
 
     g^N - h^N is built as d <- g d + h^(N-1) g_T, a sum of nonnegative
     terms that cancels nothing; g_T = g gives g^N / N!.  The reference for
-    the sums that walk this recurrence in place (pair_sum and the option
-    payoffs of polynomial_pricer), pinned to it bit for bit by the tests.
+    the sums that walk this recurrence in place, pinned to it bit for bit by
+    the tests: pair_sum, and polynomial_pricer's one payoff builder, whose
+    c_(n-N) = a sum_i (g^N - h_i^N) / N! + b h_last^N / N! folds the weights
+    of g = 1 - Q_t and g_T = 1 - Q_(T_i) over the contract's dates and those
+    of g = g_T = h_last; (a, b) = (1 - K, -K) for a call, (-K, 1) for a
+    payer swaption.
     """
     h = g - g_T
     d = 0.0

@@ -71,17 +71,13 @@ class DiscountCurve:
 def initial_curve(model: CoherentModel) -> DiscountCurve:
     """Time-0 curve P(0, t) = 1 - Q_t^n on each segment, one step per atom.
 
-    Q at each atom is the running sum of the weights, kept in their own
-    arithmetic, so exact weight types give exact prices; a float sum that
-    rounds past 1 is read as 1, as q_at reads it.
+    Q at each atom is read from the atoms' cumulative table, the running sum
+    of the weights kept in their own arithmetic, so exact weight types give
+    exact prices; a float sum that rounds past 1 is read as 1, as q_at reads it.
     """
     check_atoms_model(model)
-    prices = []
-    q = 0
-    for w in model.sf.weights:
-        q = q + w
-        prices.append(1 - min(q, 1.0) ** model.n)
-    return DiscountCurve(maturities=model.sf.times, prices=tuple(prices))
+    prices = tuple(1 - q**model.n for q in model.sf.cumulative)
+    return DiscountCurve(maturities=model.sf.times, prices=prices)
 
 
 def calibrate_weights(market: DiscountCurve, n: int, horizon=None) -> CoherentModel:

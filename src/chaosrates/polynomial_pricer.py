@@ -21,18 +21,21 @@ one more such pass at the polished root certifies it.  The sign of an even
 p between its roots is read from P(z * z), in half the steps.
 
 Every payoff and delta is a sum of squares sum_{m<n} c_m (X^(m))^2 at
-expiry, N = n - m, g = 1 - Q_t, h = Q_T - Q_t, h_i = Q_{T_i} - Q_t:
+expiry.  With N = n - m, g = 1 - Q_t and h_i = Q_{T_i} - Q_t over the
+contract's dates T_1 .. T_last, one builder (_squares) forms
 
-    call      c_m = (1 - K) (g^N - h^N) / N! - K h^N / N!,
-    swaption  c_m = h_N^N / N! - K sum_i (g^N - h_i^N) / N!,
-    delta     d_m = h^(N-1) / ((N-1)! n Q_T^(n-1)),
+    c_m = a sum_i (g^N - h_i^N) / N! + b h_last^N / N!,
 
-each c_m the difference of two product_weights terms of one sign, and the
-payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign certificate
-reads the c_m first: all negative, the payoff is negative everywhere; all
-positive, it is at least c_0 > 0 everywhere, on [0, inf) too.  Only the
-rest build P, the even coefficients of the payoff in z, and only for its
-roots (_region).
+the squared form of pi_t (a sum_i P(t, T_i) + b (1 - P(t, T_last))), with
+(a, b) = (1 - K, -K) for a call on its one bond and (-K, 1) for a payer
+swaption; (g^N - h_i^N) / N! and h_last^N / N! are the terms of
+product_weights(n, g, 1 - Q_{T_i}) and product_weights(n, h_last, h_last).
+A call's delta, h = Q_T - Q_t, has d_m = h^(N-1) / ((N-1)! n Q_T^(n-1)).
+The payoff in z is squares_polynomial([c_m Q_t^m], 1.0).  One sign
+certificate reads the c_m first: all negative, the payoff is negative
+everywhere; all positive, it is at least c_0 > 0 everywhere, on [0, inf)
+too.  Only the rest build P, the even coefficients of the payoff in z, and
+only for its roots (_region).
 The price and the delta are summed in the squared form itself over the
 right half and doubled, 2 n! sum_m c_m Q_t^m K_m, K_m the normal integral
 of (He_m / m!)^2 over the exercise intervals on z >= 0 by its own
@@ -215,8 +218,9 @@ def _polished_roots(p: RealPolynomial, candidates) -> list:
 
 
 def _companion_eigenvalues(c) -> np.ndarray:
-    # the companion matrix np.polynomial.polynomial.polycompanion builds,
-    # without its input conversion: c is a tuple of floats, c[-1] != 0
+    # the eigenvalues of the companion matrix of sum c_k x^k, c[-1] != 0, as
+    # np.polynomial.polynomial.polycompanion builds it: the root candidates
+    # of an even payoff's P and of a general p alike
     d = len(c) - 1
     m = np.zeros((d, d))
     m.reshape(-1)[d :: d + 1] = 1.0
@@ -290,7 +294,7 @@ def _real_roots(p: RealPolynomial) -> list:
         return [-c[0] / c[1]]
     if deg == 2:
         return _stable_quadratic_roots(c[0], c[1], c[2])
-    return _polished_roots(p, np.polynomial.polynomial.polyroots(np.asarray(c)))
+    return _polished_roots(p, _companion_eigenvalues(c))
 
 
 def _root_finding_part(p: RealPolynomial, reach: tuple = _REACH_POWERS) -> RealPolynomial:
@@ -430,6 +434,42 @@ def _squares_moment_sum(a, intervals) -> float:
     return total
 
 
+def _squares(model: CoherentModel, spec) -> tuple:
+    """(Q_t, [Q_(T_i)], [c_0 .. c_(n-1)]) of a call or a payer swaption,
+    each bracket read once: c_m = a sum_i (g^N - h_i^N) / N! + b h_last^N / N!
+    with the (a, b) of the module docstring.
+
+    Each date's product_weights(n, g, 1 - Q_(T_i)) is walked in place and
+    folded, in date order, into c[n - N]; the last date's walk also folds in
+    h_last^N / N! and leaves c_(n-N) there, so a call keeps no other list.
+    """
+    n, sf = model.n, model.sf
+    q_t = sf.q_at(spec.option_maturity)
+    if isinstance(spec, OptionSpec):
+        q_dates, a, b = [sf.q_at(spec.bond_maturity)], 1.0 - spec.strike, -spec.strike
+    else:
+        q_dates, a, b = [sf.q_at(T) for T in spec.payment_dates], -spec.strike, 1.0
+    g = 1.0 - q_t
+    h = q_dates[-1] - q_t
+    c = [0.0] * n
+    for i, q in enumerate(q_dates, 1 - len(q_dates)):  # i = 0 at the last date
+        g_T = 1.0 - q
+        h_date = g - g_T
+        d = 0.0
+        h_power = drift = 1.0
+        for N in range(1, n + 1):
+            d = g * d + h_power * g_T
+            h_power *= h_date
+            factorial = _FACTORIALS[N]
+            weight = c[n - N] + d / factorial
+            if i:
+                c[n - N] = weight
+            else:
+                drift *= h
+                c[n - N] = a * weight + b * (drift / factorial)
+    return q_t, q_dates, c
+
+
 def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolynomial:
     """p(z) with call price n! * E[(p(Z))+], Z the normalised driver at expiry.
 
@@ -437,34 +477,10 @@ def call_payoff_polynomial(model: CoherentModel, spec: OptionSpec) -> RealPolyno
     Requires Q_t > 0; with no accrued variance the payoff is deterministic and
     priced directly by price_bond_call.
     """
-    q_t = model.sf.q_at(spec.option_maturity)
-    q_T = model.sf.q_at(spec.bond_maturity)
+    q_t, _, c = _squares(model, spec)
     if q_t == 0:
         raise ValueError("no variance accrues by option expiry; the payoff is deterministic")
-    return _in_z(_call_squares(model.n, spec.strike, q_t, q_T), q_t)
-
-
-def _call_squares(n: int, strike: float, q_t: float, q_T: float) -> list:
-    """c_0 .. c_(n-1) of the call payoff pi_t (P(t, T) - K).
-
-    The bond weights product_weights(n, 1 - q_t, 1 - q_T) and the drift
-    weights product_weights(n, h, h) are walked together as they are used;
-    with g_T = g the drift recurrence is d_N = h d_(N-1) from d_0 = 1.
-    """
-    g, g_T = 1.0 - q_t, 1.0 - q_T
-    h_bond = g - g_T
-    h = q_T - q_t
-    keep = 1.0 - strike
-    bond = 0.0
-    drift = h_power = 1.0
-    c = [0.0] * n
-    for N in range(1, n + 1):
-        bond = g * bond + h_power * g_T
-        h_power *= h_bond
-        drift *= h
-        factorial = _FACTORIALS[N]
-        c[n - N] = keep * (bond / factorial) - strike * (drift / factorial)
-    return c
+    return _in_z(c, q_t)
 
 
 def _scaled(c: list, q_t: float) -> list:
@@ -492,33 +508,33 @@ def _sign_certificate(c: list):
     return None
 
 
-def _region(c: list, q_t: float) -> tuple:
+def _region(c: list, scaled: list) -> tuple:
     """(roots, intervals) on z >= 0 of the payoff with squared-form
-    coefficients c: from _sign_certificate where it settles them, else from
-    _half_line_region on P, the even coefficients of the payoff in z."""
+    coefficients c, scaled = _scaled(c, q_t): from _sign_certificate where
+    it settles them, else from _half_line_region on P, the even
+    coefficients of the payoff in z."""
     certified = _sign_certificate(c)
     if certified is not None:
         return (), (_RIGHT_HALF if certified else ())
-    return _half_line_region(RealPolynomial(_in_z(c, q_t).coeffs[::2]))
+    return _half_line_region(RealPolynomial(squares_polynomial(scaled, 1.0).coeffs[::2]))
 
 
 def _price(n: int, c: list, q_t: float) -> float:
     """n! E[(p(Z))+] of the payoff with squared-form coefficients c, summed
     as twice the moment sum over the exercise region on z >= 0."""
-    intervals = _region(c, q_t)[1]
+    scaled = _scaled(c, q_t)
+    intervals = _region(c, scaled)[1]
     if not intervals:
         return 0.0
-    return math.factorial(n) * max(2.0 * _squares_moment_sum(_scaled(c, q_t), intervals), 0.0)
+    return math.factorial(n) * max(2.0 * _squares_moment_sum(scaled, intervals), 0.0)
 
 
 def price_bond_call(model: CoherentModel, spec: OptionSpec) -> float:
     """Time-0 price of a call on a discount bond, normalised by pi_0."""
-    n = model.n
-    q_t = model.sf.q_at(spec.option_maturity)
-    q_T = model.sf.q_at(spec.bond_maturity)
+    q_t, (q_T,), c = _squares(model, spec)
     if q_t == 0:
-        return max((1.0 - q_T**n) - spec.strike, 0.0)
-    return _price(n, _call_squares(n, spec.strike, q_t, q_T), q_t)
+        return max((1.0 - q_T**model.n) - spec.strike, 0.0)
+    return _price(model.n, c, q_t)
 
 
 def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
@@ -530,14 +546,13 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
     intervals in the same squared form as the price.
     """
     n = model.n
-    q_t = model.sf.q_at(spec.option_maturity)
-    q_T = model.sf.q_at(spec.bond_maturity)
+    q_t, (q_T,), c = _squares(model, spec)
     if q_t == 0:
         intrinsic = (1.0 - q_T**n) - spec.strike
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    roots, intervals = _region(_call_squares(n, spec.strike, q_t, q_T), q_t)
+    roots, intervals = _region(c, _scaled(c, q_t))
     if roots and roots[0] <= 1e-9:
         raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     if not intervals:
@@ -551,40 +566,17 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
 
 def swaption_payoff_polynomial(model: CoherentModel, spec: SwaptionSpec) -> RealPolynomial:
     """p(z) with payer-swaption price n! * E[(p(Z))+]; requires Q_t > 0."""
-    q_t = model.sf.q_at(spec.option_maturity)
+    q_t, _, c = _squares(model, spec)
     if q_t == 0:
         raise ValueError("no variance accrues by swaption expiry; the payoff is deterministic")
-    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-    return _in_z(_swaption_squares(model.n, spec.strike, q_t, q_pay), q_t)
-
-
-def _swaption_squares(n: int, strike: float, q_t: float, q_pay: list) -> list:
-    """c_0 .. c_(n-1) of the swaption payoff pi_t (1 - P(t, T_N) - K sum_i P(t, T_i)).
-
-    Each date's product_weights(n, 1 - q_t, 1 - q_i) is walked in place and
-    folded, in date order, into one fixed-leg accumulator per N.
-    """
-    g = 1.0 - q_t
-    fixed = [0.0] * n
-    for q in q_pay:
-        g_T = 1.0 - q
-        h_date = g - g_T
-        d = 0.0
-        h_power = 1.0
-        for N in range(1, n + 1):
-            d = g * d + h_power * g_T
-            h_power *= h_date
-            fixed[N - 1] += d / _FACTORIALS[N]
-    h = q_pay[-1] - q_t
-    return [a - strike * b for a, b in zip(product_weights(n, h, h)[::-1], fixed[::-1])]
+    return _in_z(c, q_t)
 
 
 def price_swaption(model: CoherentModel, spec: SwaptionSpec) -> float:
     """Time-0 price of a payer swaption, normalised by pi_0."""
     n = model.n
-    q_t = model.sf.q_at(spec.option_maturity)
-    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
+    q_t, q_pay, c = _squares(model, spec)
     if q_t == 0:
         fixed_leg = spec.strike * left_sum(1.0 - q**n for q in q_pay)
         return max((1.0 - q_t**n) - (1.0 - q_pay[-1] ** n) - fixed_leg, 0.0)
-    return _price(n, _swaption_squares(n, spec.strike, q_t, q_pay), q_t)
+    return _price(n, c, q_t)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from chaosrates import (
     ExponentialDensity,
     OptionSpec,
     SwaptionSpec,
+    coherent_model,
     initial_bond_price,
     price_bond_call,
     price_swaption,
@@ -43,6 +45,12 @@ TEN_YEAR_MODEL = json.dumps(
     }
 )
 CALL_SPEC = '{"option_maturity": 1.0, "bond_maturity": 2.0, "strike": 0.6}'
+
+
+def package_env():
+    """The environment of a child Python that imports this chaosrates."""
+    src = str(Path(chaosrates.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -181,10 +189,8 @@ class TestPrice:
     def test_importing_the_cli_leaves_numpy_polynomial_out(self):
         # quadrature_price builds its Gauss-Legendre rule on first use: a
         # module-level numpy.polynomial import costs every command ~3 ms
-        src = str(Path(chaosrates.__file__).parents[1])
         code = "import sys, chaosrates.cli; assert 'numpy.polynomial' not in sys.modules"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=package_env(), check=True)
 
     @pytest.mark.parametrize("method,tol", [("analytic", 1e-12), ("quadrature", 1e-8)])
     def test_call_at_a_near_zero_expiry(self, capsys, method, tol):
@@ -205,6 +211,34 @@ class TestPrice:
         model = CoherentModel(2, ExponentialDensity(0.7))
         want = price_swaption(model, SwaptionSpec(1.0, (2.0, 3.0, 4.0), 0.05))
         assert json.loads(out)["price"] == want
+
+    @pytest.mark.parametrize(
+        "contract, model, spec",
+        [
+            # expiry at 0, where no variance has accrued
+            ("swaption", EXP_MODEL, '{"option_maturity": 0.0, "payment_dates": [1.0, 2.0, 3.0], "strike": 0.05}'),
+            # expiry before the first atom at t = 1
+            ("call", STEP_MODEL, '{"option_maturity": 0.5, "bond_maturity": 4.0, "strike": 0.3}'),
+        ],
+        ids=["swaption_expiring_at_zero", "call_expiring_before_the_first_atom"],
+    )
+    def test_quadrature_without_variance_at_expiry_is_the_intrinsic_value(self, capsys, contract, model, spec):
+        # with Q_t = 0 there is no payoff polynomial to integrate: quadrature
+        # prices the deterministic payoff as the analytic method does
+        prices = []
+        for method in ("analytic", "quadrature"):
+            code, out, err = run(capsys, "price", contract, "--model", model, "--spec", spec, "--method", method)
+            assert (code, err) == (0, "")
+            prices.append(json.loads(out)["price"])
+        bond = functools.partial(initial_bond_price, coherent_model.from_descriptor(json.loads(model)))
+        terms = json.loads(spec)
+        if contract == "call":
+            intrinsic = bond(terms["bond_maturity"]) - terms["strike"]
+        else:
+            dates = terms["payment_dates"]
+            intrinsic = 1.0 - bond(dates[-1]) - terms["strike"] * sum(map(bond, dates))
+        assert intrinsic > 0.0
+        assert prices[0] == prices[1] == pytest.approx(intrinsic, rel=1e-14)
 
     def test_spec_from_file(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
@@ -475,3 +509,31 @@ def test_repeated_calls_share_no_state(capsys):
     code, out, _ = run(capsys, "curve", "--model", EXP_MODEL)
     assert code == 0 and len(csv_rows(out)) == 121
     assert run(capsys, *mc) == run(capsys, *mc)
+
+
+def test_every_command_runs_without_the_test_extras(tmp_path):
+    # numpy is the one declared runtime dependency: no command may import
+    # scipy, mpmath or hypothesis, which only the test extras install
+    market = tmp_path / "market.csv"
+    market.write_text("maturity,price\n1.0,0.95\n2.0,0.89\n3.0,0.82\n")
+    price = ["price", "call", "--model", EXP_MODEL, "--spec", CALL_SPEC, "--method"]
+    commands = [
+        ["curve", "--model", EXP_MODEL, "--grid", "0:1:3"],
+        price + ["analytic"],
+        price + ["quadrature"],
+        price + ["mc", "--samples", "2000"],
+        ["simulate", "--model", STEP_MODEL, "--paths", "2", "--seed", "1", "--out", str(tmp_path / "paths")],
+        ["calibrate", "--market", str(market), "--order", "3"],
+    ]
+    script = (
+        "import json, sys\n"
+        "for name in ('scipy', 'mpmath', 'hypothesis'):\n"
+        "    sys.modules[name] = None\n"
+        "from chaosrates.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert codes == [0] * len(codes), codes\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=package_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -197,15 +197,6 @@ def contracts():
     return out
 
 
-def certified(kind, model, spec):
-    q_t = model.sf.q_at(spec.option_maturity)
-    if kind == "call":
-        q_T = model.sf.q_at(spec.bond_maturity)
-        return pp._sign_certificate(pp._call_squares(model.n, spec.strike, q_t, q_T)) is not None
-    q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-    return pp._sign_certificate(pp._swaption_squares(model.n, spec.strike, q_t, q_pay)) is not None
-
-
 def errors(n):
     """{quantity: [relative error]} over the order's contracts."""
     out = {"call": [], "delta": [], "swaption": [], "quadrature": []}
@@ -235,7 +226,8 @@ def test_the_gate_covers_open_and_certified_contracts_of_every_family():
         for family in FAMILIES:
             for kind in ("call", "swaption"):
                 assert any(c[:3] == (kind, n, family) for c in CONTRACTS)
-        kinds = {certified(kind, model, spec) for kind, order, _, model, spec in CONTRACTS if order == n}
+        contracts = [(model, spec) for _, order, _, model, spec in CONTRACTS if order == n]
+        kinds = {pp._sign_certificate(pp._squares(model, spec)[2]) is not None for model, spec in contracts}
         assert kinds == {True, False}, n
 
 

@@ -401,7 +401,7 @@ class TestPayoffBuildersMatchExactSquares:
         # d_m = h^(N-1) / ((N-1)! n Q_T^(n-1)) over the pricer's exercise intervals
         d = [h ** (n - m - 1) / math.factorial(n - m - 1) / (n * Fraction(q_T) ** (n - 1)) for m in range(n)]
         sens, magnitudes = self._in_z(d, q_t)
-        intervals = pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T))
+        intervals = pp._sign_certificate(pp._squares(model, spec)[2])
         if intervals is None:
             intervals = expected_positive_part(call_payoff_polynomial(model, spec)).positive_intervals
         want = scale = 0.0
@@ -438,14 +438,14 @@ class TestPayoffBuildersMatchExactSquares:
 
 
 def call_squares_by_lists(n, strike, q_t, q_T):
-    """_call_squares as it read before its walk: over two product_weights lists."""
+    """A call's c_m as they read before the walk: over two product_weights lists."""
     h = q_T - q_t
     bond, drift = product_weights(n, 1.0 - q_t, 1.0 - q_T), product_weights(n, h, h)
     return [(1.0 - strike) * a - strike * b for a, b in zip(bond[::-1], drift[::-1])]
 
 
 def swaption_squares_by_lists(n, strike, q_t, q_pay):
-    """_swaption_squares as it read before its walk: one product_weights list per date."""
+    """A swaption's c_m as they read before the walk: one product_weights list per date."""
     h = q_pay[-1] - q_t
     fixed = [left_sum(w) for w in zip(*[product_weights(n, 1.0 - q_t, 1.0 - q) for q in q_pay])]
     return [a - strike * b for a, b in zip(product_weights(n, h, h)[::-1], fixed[::-1])]
@@ -453,31 +453,40 @@ def swaption_squares_by_lists(n, strike, q_t, q_pay):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_payoff_squares_walk_the_product_weights_bit_for_bit(n):
-    """The call and swaption c_m, their weights walked in place, are the
-    list forms' bit for bit: for random brackets and strikes, for brackets
-    at 0, at 1 and equal, and for the exact brackets of Fraction atoms."""
+    """The call and swaption c_m of _squares, their weights walked in place,
+    are the list forms' bit for bit: for random brackets and strikes, for
+    brackets at 0, at 1 and equal, for strike 1 (a call's a = 0) and for the
+    exact brackets of Fraction atoms."""
     rng = np.random.default_rng([n, 2])
-    cases = [(0.0, 0.4, 0.9), (0.3, 0.3, 0.7), (0.3, 1.0, 0.0), (Fraction(1, 3), Fraction(3, 4), 0.8)]
+    cases = [
+        (0.0, 0.4, 0.9),
+        (0.3, 0.3, 0.7),
+        (0.3, 1.0, 0.0),
+        (0.3, 0.6, 1.0),
+        (Fraction(1, 3), Fraction(3, 4), 0.8),
+    ]
     for _ in range(25):
         q_t = float(rng.uniform())
         cases.append((q_t, q_t + float(rng.uniform()) * (1.0 - q_t), float(rng.uniform(0.0, 1.5))))
     for q_t, q_T, strike in cases:
-        got, want = pp._call_squares(n, strike, q_t, q_T), call_squares_by_lists(n, strike, q_t, q_T)
+        _, _, got = pp._squares(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
+        want = call_squares_by_lists(n, strike, q_t, q_T)
         assert [repr(x) for x in got] == [repr(x) for x in want]
         # dates whose brackets climb from q_t to q_T, repeats allowed
         q_pay = [q_t + (q_T - q_t) * f for f in sorted(rng.uniform(size=int(rng.integers(1, 21))))] + [q_T]
         strike /= 5.0
-        got, want = pp._swaption_squares(n, strike, q_t, q_pay), swaption_squares_by_lists(n, strike, q_t, q_pay)
+        _, _, got = pp._squares(*swaption_model(q_t, q_pay, n, strike))
+        want = swaption_squares_by_lists(n, strike, q_t, q_pay)
         assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
-def swaption_model(q_t, q_pay):
+def swaption_model(q_t, q_pay, n=2, strike=0.0):
     table = {1.0: q_t}
     dates = []
     for i, q in enumerate(q_pay):
         table[2.0 + i] = q
         dates.append(2.0 + i)
-    return CoherentModel(2, LookupBracket(table)), SwaptionSpec(1.0, tuple(dates), 0.0)
+    return CoherentModel(n, LookupBracket(table)), SwaptionSpec(1.0, tuple(dates), strike)
 
 
 SWAPTION_CASES = [
@@ -747,7 +756,7 @@ class TestSignCertificate:
     )
     def test_worthless_call(self, isolated, n, q_t, q_T, strike):
         model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
-        assert pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) == ()
+        assert pp._sign_certificate(pp._squares(model, spec)[2]) == ()
         assert price_bond_call(model, spec) == 0.0
         assert call_delta(model, spec) == 0.0
         assert isolated == []
@@ -784,7 +793,7 @@ class TestSignCertificate:
         # near the money the coefficients change sign; at n = 16 the payoff
         # needs the companion matrix
         model, spec = CoherentModel(16, FAMILIES[0]), OptionSpec(2.0, 6.5, 0.9)
-        assert pp._sign_certificate(pp._call_squares(16, 0.9, FAMILIES[0].q_at(2.0), FAMILIES[0].q_at(6.5))) is None
+        assert pp._sign_certificate(pp._squares(model, spec)[2]) is None
         price_bond_call(model, spec)
         assert isolated == ["_half_line_region", "_companion_eigenvalues"]
         isolated.clear()
@@ -801,10 +810,12 @@ class TestSignCertificate:
         n, q_t, q_T, strike = 2, 0.5, 0.75, 0.75
         g, h = 1.0 - q_t, q_T - q_t
         assert (1.0 - strike) * g**n == h**n
-        assert pp._call_squares(n, strike, q_t, q_T)[0] == 0.0
-        assert pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) is None
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        c = pp._squares(model, spec)[2]
+        assert c[0] == 0.0
+        assert pp._sign_certificate(c) is None
         with pytest.raises(ValueError, match="degenerate"):
-            call_delta(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
+            call_delta(model, spec)
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_degree_cap_before_the_certificate(self, monkeypatch, n):
@@ -812,22 +823,22 @@ class TestSignCertificate:
         calls = [(1.5, ()), (0.0, whole)]
         q_pay = [0.44, 0.552]
         swaptions = [(0.5, ()), (0.0, whole)]
+        call_on = call_model(n, 0.3, 0.5)
+        swaption_on = CoherentModel(n, LookupBracket({1.0: 0.2, 2.0: q_pay[0], 3.0: q_pay[1]}))
         with monkeypatch.context() as raised:
             # with the cap lifted, every contract here is certified
             raised.setattr(pp, "MAX_DEGREE", 2 * n - 2)
             for strike, want in calls:
-                assert pp._sign_certificate(pp._call_squares(n, strike, 0.3, 0.5)) == want
+                assert pp._sign_certificate(pp._squares(call_on, OptionSpec(1.0, 2.0, strike))[2]) == want
             for strike, want in swaptions:
-                assert pp._sign_certificate(pp._swaption_squares(n, strike, 0.2, q_pay)) == want
-        model = call_model(n, 0.3, 0.5)
+                assert pp._sign_certificate(pp._squares(swaption_on, SwaptionSpec(1.0, (2.0, 3.0), strike))[2]) == want
         for strike, _ in calls:
             for price in (price_bond_call, call_delta):
                 with pytest.raises(ValueError, match="exceeds the supported maximum"):
-                    price(model, OptionSpec(1.0, 2.0, strike))
-        model = CoherentModel(n, LookupBracket({1.0: 0.2, 2.0: q_pay[0], 3.0: q_pay[1]}))
+                    price(call_on, OptionSpec(1.0, 2.0, strike))
         for strike, _ in swaptions:
             with pytest.raises(ValueError, match="exceeds the supported maximum"):
-                price_swaption(model, SwaptionSpec(1.0, (2.0, 3.0), strike))
+                price_swaption(swaption_on, SwaptionSpec(1.0, (2.0, 3.0), strike))
 
     @staticmethod
     def _construction_scale(n, magnitudes, q_t):
@@ -1000,8 +1011,9 @@ class TestSquaresMomentSum:
         # P(0, T) - K P(0, t); against that forward in exact arithmetic on
         # the float inputs, within a few ulps of its two parts
         q_T = q_t + frac * (1.0 - q_t)
-        assume(pp._sign_certificate(pp._call_squares(n, strike, q_t, q_T)) == ((-math.inf, math.inf),))
-        price = price_bond_call(call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike))
+        model, spec = call_model(n, q_t, q_T), OptionSpec(1.0, 2.0, strike)
+        assume(pp._sign_certificate(pp._squares(model, spec)[2]) == ((-math.inf, math.inf),))
+        price = price_bond_call(model, spec)
         qt, qT, k = Fraction(q_t), Fraction(q_T), Fraction(strike)
         forward = (1 - qT**n) - k * (1 - qt**n)
         scale = abs(1 - k) * (1 - qT**n) + k * (qT**n - qt**n)
@@ -1059,14 +1071,14 @@ class TestHalfLineRegion:
     @example(16, 0.9765282605635307, 0.9986941723829467, 0.09077588699168371)  # TestTailContractWork
     @settings(max_examples=200, deadline=None)
     def test_calls(self, n, x, y, strike):
-        q_t, q_T = min(x, y), max(x, y)
-        self._check(pp._call_squares(n, strike, q_t, q_T), q_t)
+        q_t, _, c = pp._squares(call_model(n, min(x, y), max(x, y)), OptionSpec(1.0, 2.0, strike))
+        self._check(c, q_t)
 
     @pytest.mark.parametrize(
         "P, want_roots, want_intervals",
         [
             # the dyadic call: p = c z^2, c < 0
-            (squares_polynomial(pp._scaled(pp._call_squares(2, 0.75, 0.5, 0.75), 0.5), 1.0).coeffs[::2], (0.0,), ()),
+            (call_payoff_polynomial(call_model(2, 0.5, 0.75), OptionSpec(1.0, 2.0, 0.75)).coeffs[::2], (0.0,), ()),
             # y (1 - y^2): exercised on both sides of the root at the origin
             ((0.0, 1.0, 0.0, -1.0), (-1.0, 0.0, 1.0), ((-1.0, 0.0), (0.0, 1.0))),
             # -y (1 - y^2): exercised outside +-1
@@ -1083,7 +1095,7 @@ class TestHalfLineRegion:
         # are exactly symmetric, within 2 ulps of the quadratic formula on p,
         # whose two roots round apart
         q_t, q_T = min(x, y), max(x, y)
-        p = squares_polynomial(pp._scaled(pp._call_squares(2, strike, q_t, q_T), q_t), 1.0)
+        p = call_payoff_polynomial(call_model(2, q_t, q_T), OptionSpec(1.0, 2.0, strike))
         roots = pp._exercise_region(p)[0]
         assert roots == tuple(-z for z in reversed(roots))
         quadratic = _real_roots(p)
@@ -1099,9 +1111,8 @@ class TestHalfLineRegion:
     )
     @settings(max_examples=200, deadline=None)
     def test_swaptions(self, n, q_t, steps, strike_share):
-        model, spec = swaption_case(n, q_t, [0.5 * step for step in steps], strike_share)
-        q_pay = [model.sf.q_at(T) for T in spec.payment_dates]
-        self._check(pp._swaption_squares(n, spec.strike, q_t, q_pay), q_t)
+        q_t, _, c = pp._squares(*swaption_case(n, q_t, [0.5 * step for step in steps], strike_share))
+        self._check(c, q_t)
 
 
 def count_calls(monkeypatch, *names):
