@@ -440,8 +440,8 @@ def _squares(model: CoherentModel, spec) -> tuple:
     with the (a, b) of the module docstring.
 
     Each date's product_weights(n, g, 1 - Q_(T_i)) is walked in place and
-    folded, in date order, into c[n - N]; the last date's walk also folds in
-    h_last^N / N! and leaves c_(n-N) there, so a call keeps no other list.
+    folded, in date order, into c[m], m = n - N; the last date's walk also
+    folds in h_last^N / N! and forms c_m there, so a call keeps no other list.
     """
     n, sf = model.n, model.sf
     q_t = sf.q_at(spec.option_maturity)
@@ -452,21 +452,22 @@ def _squares(model: CoherentModel, spec) -> tuple:
     g = 1.0 - q_t
     h = q_dates[-1] - q_t
     c = [0.0] * n
-    for i, q in enumerate(q_dates, 1 - len(q_dates)):  # i = 0 at the last date
+    later = len(q_dates)  # the dates after this one
+    for q in q_dates:
+        later -= 1
         g_T = 1.0 - q
         h_date = g - g_T
         d = 0.0
         h_power = drift = 1.0
-        for N in range(1, n + 1):
+        for m in range(n - 1, -1, -1):
             d = g * d + h_power * g_T
             h_power *= h_date
-            factorial = _FACTORIALS[N]
-            weight = c[n - N] + d / factorial
-            if i:
-                c[n - N] = weight
+            factorial = _FACTORIALS[n - m]
+            if later:
+                c[m] += d / factorial
             else:
                 drift *= h
-                c[n - N] = a * weight + b * (drift / factorial)
+                c[m] = a * (c[m] + d / factorial) + b * (drift / factorial)
     return q_t, q_dates, c
 
 
@@ -508,24 +509,26 @@ def _sign_certificate(c: list):
     return None
 
 
-def _region(c: list, scaled: list) -> tuple:
-    """(roots, intervals) on z >= 0 of the payoff with squared-form
-    coefficients c, scaled = _scaled(c, q_t): from _sign_certificate where
-    it settles them, else from _half_line_region on P, the even
-    coefficients of the payoff in z."""
+def _region(c: list, q_t: float) -> tuple:
+    """(roots, intervals, scaled) on z >= 0 of the payoff with squared-form
+    coefficients c: from _sign_certificate where it settles them, else from
+    _half_line_region on P, the even coefficients of the payoff in z, built
+    from scaled = _scaled(c, q_t); scaled is None where it was not needed."""
     certified = _sign_certificate(c)
     if certified is not None:
-        return (), (_RIGHT_HALF if certified else ())
-    return _half_line_region(RealPolynomial(squares_polynomial(scaled, 1.0).coeffs[::2]))
+        return (), (_RIGHT_HALF if certified else ()), None
+    scaled = _scaled(c, q_t)
+    return (*_half_line_region(RealPolynomial(squares_polynomial(scaled, 1.0).coeffs[::2])), scaled)
 
 
 def _price(n: int, c: list, q_t: float) -> float:
     """n! E[(p(Z))+] of the payoff with squared-form coefficients c, summed
     as twice the moment sum over the exercise region on z >= 0."""
-    scaled = _scaled(c, q_t)
-    intervals = _region(c, scaled)[1]
+    _, intervals, scaled = _region(c, q_t)
     if not intervals:
         return 0.0
+    if scaled is None:
+        scaled = _scaled(c, q_t)
     return math.factorial(n) * max(2.0 * _squares_moment_sum(scaled, intervals), 0.0)
 
 
@@ -552,7 +555,7 @@ def call_delta(model: CoherentModel, spec: OptionSpec) -> float:
         if intrinsic == 0:
             raise ValueError("degenerate hedge: deterministic payoff sits exactly at the strike")
         return 1.0 if intrinsic > 0 else 0.0
-    roots, intervals = _region(c, _scaled(c, q_t))
+    roots, intervals, _ = _region(c, q_t)
     if roots and roots[0] <= 1e-9:
         raise ValueError("degenerate hedge: payoff polynomial has a root at the origin")
     if not intervals:
